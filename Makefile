@@ -11,8 +11,9 @@ PYTHONPATH_PREFIX := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 test:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -x -q
 
-# Quick perf sanity: batched-vs-serial ranking comparison (>= 20k nodes)
-# plus a sharded-pipeline smoke run, both in statistics-free mode.
+# Quick perf sanity: batched-vs-serial ranking comparison (>= 20k nodes;
+# fails below 3x the per-edge loop or 2x the whole-batch reference) plus
+# a sharded-pipeline smoke run, both in statistics-free mode.
 bench-smoke:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/bench_kernels.py \
 		-q -s -k ranking --benchmark-disable

@@ -119,7 +119,8 @@ def test_batch_lca_resistances(benchmark, setting):
 # * "whole-batch reference" — one approximate_trace_reduction call over
 #   the full candidate array (the pre-engine round loop's actual path);
 # * "batched ranker"   — ApproxRanker.score_batch with the per-round
-#   ball/column caches (the engine's production path).
+#   ball cache, scoring whole sub-batches of candidates with array
+#   operations (the engine's production path).
 # ----------------------------------------------------------------------
 
 _RANKING_SUBSET = 300  # candidates scored per timing (serial path is slow)
@@ -189,7 +190,8 @@ def test_ranking_batched(benchmark, ranking_setting):
 
 
 def test_ranking_batched_vs_serial_report(ranking_setting):
-    """Time the three paths, emit the comparison, check the 3x target."""
+    """Time the three paths, emit the comparison, check both targets:
+    >= 3x the per-edge loop and >= 2x the whole-batch reference."""
     graph, tree, factor, Z, subset = ranking_setting
 
     serial_scores, serial_seconds = _best_of(
@@ -223,6 +225,9 @@ def test_ranking_batched_vs_serial_report(ranking_setting):
         f"{vs_reference:.2f}x vs whole-batch reference",
     )
     assert speedup >= 3.0, f"batched ranking only {speedup:.1f}x faster"
+    assert vs_reference >= 2.0, (
+        f"batched ranking only {vs_reference:.2f}x the whole-batch reference"
+    )
 
 
 def test_pcg_tree_preconditioned(benchmark, setting):
@@ -269,7 +274,7 @@ def _build_tier_workloads(smoke: bool):
 
     # Edge-pair scoring inputs: beta-balls around both endpoints of
     # random edges, the q-ball stamped, the p-ball incidence flattened —
-    # exactly what ApproxRanker.score_batch feeds the scoring kernel.
+    # what the per-candidate reference path feeds the scoring kernel.
     finder = BallFinder(indptr, nbr_arr, kernels=vector)
     edges = rng.choice(graph.edge_count, size=n_pairs, replace=False)
     stamp = np.zeros(graph.n, dtype=np.int64)

@@ -11,27 +11,46 @@ engine with a uniform **batch API**:
 * :class:`TreePhaseRanker` — round 1, the solve-free tree-phase
   truncated trace reduction (Eqs. 13-15);
 * :class:`ExactRanker` — Eq. (11) through exact solves (validation);
-* :class:`ApproxRanker` — Eq. (20), the production path: SPAI-column
-  gathers, BFS-ball lookups and the ``ball_pair_edge_sum`` kernel are
-  fed from per-round caches so each candidate costs a handful of small
-  numpy calls and no Python BFS.
+* :class:`ApproxRanker` — Eq. (20), the production path.
+
+The two production rankers have no per-candidate Python loop: they cut
+the candidates into sub-batches of at most
+:func:`~repro.core._kernels.pair_budget` gathered entries (a module
+constant, scaled down for small graphs) and score each sub-batch with a
+fixed number of array operations.  For Eq. 20
+that is one gather of ``u = z~_p - z~_q`` and of the SPAI columns,
+one :func:`~repro.core._kernels.ball_pair_edges` selection of the
+ball-to-ball edges, one ``np.bincount`` for ``s``, and one
+:func:`~repro.core._kernels.segment_sums` per sum.
 
 The :class:`BallCache` persists across densification rounds: recovering
 edges only changes BFS balls near the touched endpoints, so only those
 entries are invalidated (see ``docs/architecture.md`` for the exact
-contract).  Scores are bit-identical to the reference implementations in
-:mod:`repro.core.trace_reduction` and independent of how candidates are
-chunked, which is what makes the worker-pool execution in
-:mod:`repro.core.parallel` deterministic.
+contract).  Scores are bit-identical to the per-candidate reference
+loops (:func:`repro.core.trace_reduction.approximate_trace_reduction`,
+:func:`repro.core.tree_phase.tree_truncated_trace_reduction_reference`)
+and independent of how candidates are chunked, which is what makes the
+worker-pool execution in :mod:`repro.core.parallel` deterministic.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.core import _kernels
+from repro.core._kernels import (
+    ball_pair_edges,
+    cap_spans,
+    edge_sums,
+    owners,
+    segment_sums,
+    sorted_lookup,
+    unique_inverse,
+)
 from repro.core.trace_reduction import exact_trace_reduction_batch
 from repro.core.tree_phase import tree_truncated_trace_reduction
 from repro.tree.lca import batch_tree_resistances
@@ -40,7 +59,6 @@ from repro.graph.graph import Graph
 from repro.graph.laplacian import regularized_laplacian
 from repro.kernels import resolve_kernel_set
 from repro.linalg.cholesky import cholesky
-from repro.linalg.spai import extract_columns
 
 __all__ = [
     "EdgeRanker",
@@ -206,21 +224,21 @@ class BallCache:
         if invalidate is None:
             return
         invalidate = np.asarray(invalidate, dtype=np.int64)
+        # A cached entry for ``a`` is stale iff a touched node is within
+        # beta hops of ``a`` in the OLD or the NEW adjacency (the
+        # adjacency is symmetric, so that is the union of the touched
+        # nodes' balls in both).  Insertions only shrink distances (old
+        # ball subset of new), so for the insert-only round loop the
+        # union degenerates to the new balls alone; deletions *grow*
+        # distances, and only the old balls reach the entries whose
+        # routes ran through the removed edges.
+        finders = [self._finder]
+        if changed and old_finder is not None:
+            finders.append(old_finder)
         stale: set = set()
-        for node in invalidate:
-            # A cached entry for ``a`` is stale iff a touched node is
-            # within beta hops of ``a`` in the OLD or the NEW adjacency
-            # (the adjacency is symmetric, so that is the union of the
-            # touched node's balls in both).  Insertions only shrink
-            # distances (old ball subset of new), so for the insert-only
-            # round loop the union degenerates to the new ball alone;
-            # deletions *grow* distances, and only the old ball reaches
-            # the entries whose routes ran through the removed edges.
-            stale.update(self._finder.ball_nodes(int(node), self.beta).tolist())
-            if changed and old_finder is not None:
-                stale.update(
-                    old_finder.ball_nodes(int(node), self.beta).tolist()
-                )
+        for finder in finders:
+            for ball in finder.balls(invalidate, self.beta).values():
+                stale.update(ball.tolist())
         for node in stale:
             self._balls.pop(node, None)
             self._bundles.pop(node, None)
@@ -231,47 +249,109 @@ class BallCache:
     def _has_room(self, table: dict) -> bool:
         return self.max_entries is None or len(table) < self.max_entries
 
+    def _room(self, table: dict, missing: list) -> list:
+        """The prefix of *missing* that fits in *table*'s capacity."""
+        if self.max_entries is None:
+            return missing
+        return missing[: max(0, self.max_entries - len(table))]
+
     def ensure(self, nodes) -> None:
         """Compute and cache balls + bundles for any missing *nodes*.
 
         Bundle construction is batched: one ``concat_ranges`` pass over
         the concatenation of every missing ball gathers all incidence
         triples at once, and per-node bundles are cheap slices of the
-        shared arrays.  Entries beyond ``max_entries`` are dropped.
+        shared arrays.  Only as many nodes as fit under ``max_entries``
+        are built; over-capacity nodes are built transiently by
+        :meth:`bundles` when scoring reaches them.
         """
-        missing = list(dict.fromkeys(
-            int(node)
-            for node in np.asarray(nodes, dtype=np.int64)
-            if int(node) not in self._bundles
-        ))
-        if self.max_entries is not None:
-            # Only warm what can actually be stored; over-capacity nodes
-            # are built transiently by bundle() when scoring reaches
-            # them, instead of being materialized and discarded here on
-            # every prepare() call.
-            room = self.max_entries - len(self._bundles)
-            missing = missing[: max(0, room)]
+        missing = [
+            node for node in dict.fromkeys(_node_list(nodes))
+            if node not in self._bundles
+        ]
+        missing = self._room(self._bundles, missing)
         if missing:
             self._materialize(missing)
 
-    def _materialize(self, missing: list) -> dict:
+    def ensure_balls(self, nodes) -> None:
+        """Cache bare ball node sets (no incidence bundles) for *nodes*.
+
+        Cheaper than :meth:`ensure` for nodes that only ever serve as
+        the second ball (the ``q`` side of Eq. 20), which never needs
+        the incidence triples.  Only as many as fit are computed.
+        """
+        missing = [
+            node for node in dict.fromkeys(_node_list(nodes))
+            if node not in self._balls
+        ]
+        missing = self._room(self._balls, missing)
+        if missing:
+            self.balls(missing)
+
+    def balls(self, nodes) -> list:
+        """Sorted beta-balls of *nodes* in the current subgraph, in order.
+
+        Cached balls are returned as stored; the missing ones are grown
+        by one :meth:`BallFinder.balls <repro.graph.bfs.BallFinder.balls>`
+        call and cached while there is room.
+        """
+        if self._finder is None:
+            raise RuntimeError("attach_subgraph() before querying balls")
+        nodes = _node_list(nodes)
+        fresh = self._finder.balls(
+            [node for node in nodes if node not in self._balls], self.beta
+        )
+        for node, ball in fresh.items():
+            if self._has_room(self._balls):
+                self._balls[node] = ball
+        return [
+            fresh[node] if node in fresh else self._balls[node]
+            for node in nodes
+        ]
+
+    def bundles(self, nodes, balls=None) -> list:
+        """Bundles of *nodes*, in order; missing ones built in one pass.
+
+        Parameters
+        ----------
+        nodes : array_like of int
+            Ball centers.
+        balls : list of numpy.ndarray, optional
+            The balls of *nodes* (aligned), when the caller already has
+            them; spares the BFS for bundles that must be built.
+
+        Returns
+        -------
+        list of BallBundle
+            Cached bundles as stored; the missing ones come from one
+            :meth:`_materialize` call and are cached while there is
+            room.
+        """
+        nodes = _node_list(nodes)
+        known = {} if balls is None else dict(zip(nodes, balls))
+        missing = [
+            node for node in dict.fromkeys(nodes) if node not in self._bundles
+        ]
+        built = {}
+        if missing:
+            built = self._materialize(
+                missing,
+                [known[node] for node in missing] if balls is not None
+                else None,
+            )
+        return [
+            built[node] if node in built else self._bundles[node]
+            for node in nodes
+        ]
+
+    def _materialize(self, missing: list, ball_list=None) -> dict:
         """Build bundles for *missing* nodes, caching within capacity."""
         if self._finder is None:
             raise RuntimeError("attach_subgraph() before ensure()")
         if self._g_indptr is None:
             raise RuntimeError("attach_graph() before ensure()")
-        fresh_balls = self._finder.balls(
-            [node for node in missing if node not in self._balls],
-            self.beta,
-        )
-        ball_list = []
-        for node in missing:
-            ball = self._balls.get(node)
-            if ball is None:
-                ball = fresh_balls[node]
-                if self._has_room(self._balls):
-                    self._balls[node] = ball
-            ball_list.append(ball)
+        if ball_list is None:
+            ball_list = self.balls(missing)
         all_nodes = np.concatenate(ball_list)
         starts = self._g_indptr[all_nodes]
         lengths = self._g_indptr[all_nodes + 1] - starts
@@ -302,36 +382,9 @@ class BallCache:
                 self._bundles[node] = bundle
         return built
 
-    def ensure_balls(self, nodes) -> None:
-        """Cache bare ball node sets (no incidence bundles) for *nodes*.
-
-        Cheaper than :meth:`ensure` for nodes that only ever serve as
-        the stamped second ball (the ``q`` side of Eq. 20), which never
-        needs the incidence triples.
-        """
-        if self._finder is None:
-            raise RuntimeError("attach_subgraph() before ensure_balls()")
-        missing = [
-            int(node)
-            for node in np.asarray(nodes, dtype=np.int64)
-            if int(node) not in self._balls
-        ]
-        if not missing:
-            return
-        for node, ball in self._finder.balls(missing, self.beta).items():
-            if self._has_room(self._balls):
-                self._balls[node] = ball
-
     def ball(self, node: int) -> np.ndarray:
         """Sorted beta-ball around *node* in the current subgraph."""
-        nodes = self._balls.get(node)
-        if nodes is None:
-            if self._finder is None:
-                raise RuntimeError("attach_subgraph() before ball()")
-            nodes = self._finder.ball_nodes(node, self.beta)
-            if self._has_room(self._balls):
-                self._balls[node] = nodes
-        return nodes
+        return self.balls([node])[0]
 
     def bundle(self, node: int) -> BallBundle:
         """Ball plus flattened original-graph incidences around *node*.
@@ -339,10 +392,12 @@ class BallCache:
         At capacity the bundle is built and returned without being
         stored.
         """
-        cached = self._bundles.get(node)
-        if cached is not None:
-            return cached
-        return self._materialize([int(node)])[int(node)]
+        return self.bundles([node])[0]
+
+
+def _node_list(nodes) -> list:
+    """*nodes* as a list of Python ints (dictionary keys of the cache)."""
+    return np.asarray(nodes, dtype=np.int64).ravel().tolist()
 
 
 class TreePhaseRanker:
@@ -357,8 +412,8 @@ class TreePhaseRanker:
     beta : int, optional
         BFS truncation depth (paper default 5).
     kernels : KernelSet or str, optional
-        Hot-path kernel tier for the scoring loops; defaults to the
-        auto-resolved tier.  Bit-identical across tiers.
+        Hot-path kernel tier executing the batched range gathers;
+        defaults to the auto-resolved tier.  Bit-identical across tiers.
     """
 
     def __init__(self, graph: Graph, forest, beta: int = 5,
@@ -374,8 +429,9 @@ class TreePhaseRanker:
 
         One Tarjan offline-LCA DFS covers the whole candidate set, so
         per-chunk ``score_batch`` calls (serial or in forked workers)
-        skip the O(n) DFS; the Euler intervals and CSR adjacencies are
-        materialized here too so workers inherit them copy-on-write.
+        skip the O(n) DFS; the Euler intervals, forest ball sizes and
+        CSR adjacencies are materialized here too so workers inherit
+        them copy-on-write.
         """
         edge_ids = np.asarray(edge_ids, dtype=np.int64)
         if len(edge_ids) == 0:
@@ -389,6 +445,7 @@ class TreePhaseRanker:
             )
             self._resistances[missing] = resist
         self.forest.euler_intervals()
+        self.forest.ball_sizes(self.beta)
         self.forest.tree.adjacency()
         self.graph.adjacency()
 
@@ -459,14 +516,22 @@ class ApproxRanker:
 
     Computes exactly what
     :func:`repro.core.trace_reduction.approximate_trace_reduction`
-    computes — bit for bit — but feeds every per-candidate step from
-    caches that are shared across the whole round:
+    computes -- bit for bit -- but for a whole sub-batch of candidates
+    per pass of array operations instead of one candidate at a time:
 
     * BFS balls and their original-graph incidence bundles come from a
       :class:`BallCache` (persisted across rounds, invalidated only
       around touched nodes);
-    * SPAI columns of candidate endpoints are gathered once per round
-      through :func:`repro.linalg.spai.extract_columns`.
+    * ``u = z~_p - z~_q`` and the SPAI columns of every ball-union node
+      are gathered straight from ``Z`` for all candidates at once, keyed
+      by ``(candidate, row)``, and ``s_a = z~_a . u`` is one
+      ``np.bincount`` over ``(candidate, ball node)`` bins;
+    * the ball-to-ball edges of every candidate are one
+      :func:`~repro.core._kernels.ball_pair_edges` call, and ``s`` is
+      only formed at their endpoints.
+
+    Sub-batches are cut so that each gathers at most
+    :func:`~repro.core._kernels.pair_budget` entries.
 
     Parameters
     ----------
@@ -475,7 +540,7 @@ class ApproxRanker:
     subgraph : Graph
         The current subgraph ``S`` (BFS balls are grown here).
     factor : repro.linalg.cholesky.CholeskyFactor
-        Factor of the regularized ``L_S`` — provides the ordering that
+        Factor of the regularized ``L_S`` -- provides the ordering that
         maps original nodes to columns of ``Z``.
     Z : scipy.sparse.csc_matrix
         Output of :func:`repro.linalg.spai.sparse_approximate_inverse`
@@ -487,16 +552,19 @@ class ApproxRanker:
         attached to *subgraph*'s adjacency (the sparsifier driver owns
         invalidation); when omitted a private cache is created.
     kernels : KernelSet or str, optional
-        Hot-path kernel tier executing the per-candidate scoring loop
-        (SPAI gathers, ball selection, the restricted quadratic form);
-        defaults to the auto-resolved tier.  Bit-identical across
-        tiers, so the choice never changes scores — only speed.
+        Hot-path kernel tier executing the range gathers and BFS
+        expansion; defaults to the auto-resolved tier.  Bit-identical
+        across tiers, so the choice never changes scores -- only speed.
 
     Notes
     -----
-    ``score_batch`` reuses dense work vectors, so one ranker instance
-    must not be shared between threads.  Worker *processes* are fine:
-    each fork gets copy-on-write copies, and the scores are chunk-stable
+    Scoring keeps no per-candidate state and grows balls without the
+    :class:`~repro.graph.bfs.BallFinder` stamp arrays.  What is still
+    shared and mutable is the :class:`BallCache`: a cache miss inserts
+    into its dictionaries without a lock (concurrent fills can overshoot
+    ``max_entries``), so one ranker -- or one cache -- must not be used
+    from several threads at once.  Worker *processes* are fine: each
+    fork gets copy-on-write copies, and the scores are chunk-stable
     (independent of how candidates are split), so any sharding of the
     candidate list reproduces the serial result exactly.
     """
@@ -509,10 +577,13 @@ class ApproxRanker:
         self.beta = int(beta)
         self.kernels = resolve_kernel_set(kernels)
         self._iperm = np.asarray(factor.iperm, dtype=np.int64)
-        self._Z = Z
-        self._z_indptr = Z.indptr
-        self._z_indices = Z.indices.astype(np.int64)
+        self._z_indptr = Z.indptr.astype(np.int64)
+        self._z_indices = Z.indices
         self._z_data = Z.data
+        # SPAI column length and original-graph degree per node: the
+        # sub-batch sizing weights.
+        self._col_len = np.diff(self._z_indptr)[self._iperm]
+        self._degree = np.diff(graph.adjacency()[0])
         if cache is None:
             cache = BallCache(beta, kernels=self.kernels)
         if cache.beta != self.beta:
@@ -524,15 +595,9 @@ class ApproxRanker:
             sub_indptr, sub_nbr, _ = subgraph.adjacency()
             cache.attach_subgraph(sub_indptr, sub_nbr)
         self.cache = cache
-        self._cols: dict = {}
-        n = graph.n
-        self._u_dense = np.zeros(n)
-        self._s_dense = np.zeros(n)
-        self._in_q_stamp = np.zeros(n, dtype=np.int64)
-        self._clock = 0
 
     def prepare(self, edge_ids) -> None:
-        """Warm the ball cache and the SPAI column table for a batch.
+        """Warm the ball cache for a batch.
 
         Idempotent and cheap when already warm.  The sparsifier driver
         calls this in the parent process before forking workers so the
@@ -542,24 +607,9 @@ class ApproxRanker:
         if len(edge_ids) == 0:
             return
         # Heads need full incidence bundles (the summation side of
-        # Eq. 20); tails only ever get stamped, so bare balls suffice.
+        # Eq. 20); tails only ever mark membership, so bare balls do.
         self.cache.ensure(np.unique(self.graph.u[edge_ids]))
         self.cache.ensure_balls(np.unique(self.graph.v[edge_ids]))
-        endpoints = np.unique(
-            np.concatenate([self.graph.u[edge_ids], self.graph.v[edge_ids]])
-        )
-        missing = [
-            int(node) for node in endpoints if int(node) not in self._cols
-        ]
-        if not missing:
-            return
-        indptr, rows, vals = extract_columns(
-            self._Z, self._iperm[np.asarray(missing, dtype=np.int64)],
-            kernels=self.kernels,
-        )
-        for k, node in enumerate(missing):
-            lo, hi = indptr[k], indptr[k + 1]
-            self._cols[node] = (rows[lo:hi], vals[lo:hi])
 
     def score_batch(self, edge_ids) -> np.ndarray:
         """Approximate trace reduction (Eq. 20) per candidate edge.
@@ -581,66 +631,183 @@ class ApproxRanker:
         if len(edge_ids) == 0:
             return np.empty(0)
         self.prepare(edge_ids)
+        heads = self.graph.u[edge_ids]
+        tails = self.graph.v[edge_ids]
+        count = len(edge_ids)
+        nodes, inverse = np.unique(
+            np.concatenate([heads, tails]), return_inverse=True
+        )
+        balls = self.cache.balls(nodes)
+        ball_of = dict(zip(nodes.tolist(), balls))
+        sizes = np.fromiter(map(len, balls), dtype=np.int64, count=len(balls))
+        incidences = _ball_totals(balls, self._degree)
+        # Entries a candidate holds at once: u, the tail ball and the
+        # head ball's incidences.  The SPAI columns behind s are
+        # gathered in smaller groups (see _spai_dots).
+        costs = (
+            self._col_len[heads] + self._col_len[tails]
+            + sizes[inverse[count:]] + incidences[inverse[:count]]
+        )
+        weights = self.graph.w[edge_ids]
+        # Scratch map from SPAI rows to slab columns, -1 when unused.
+        row_slot = np.full(self.graph.n, -1, dtype=np.int64)
+        out = np.empty(count)
+        for lo, hi in cap_spans(costs, _kernels.pair_budget(self.graph.edge_count)):
+            out[lo:hi] = self._score_span(
+                heads[lo:hi], tails[lo:hi], weights[lo:hi], ball_of, row_slot
+            )
+        return out
 
-        graph = self.graph
-        weights = graph.w
-        heads = graph.u[edge_ids]
-        tails = graph.v[edge_ids]
-        w_cand = weights[edge_ids]
+    def _score_span(self, heads, tails, w_cand, ball_of,
+                    row_slot) -> np.ndarray:
+        """Eq. 20 for one sub-batch, with array operations only."""
+        n = self.graph.n
+        count = len(heads)
+        concat_ranges = self.kernels.concat_ranges
         iperm = self._iperm
         z_indptr = self._z_indptr
         z_indices = self._z_indices
         z_data = self._z_data
-        cols = self._cols
-        cache = self.cache
-        u_dense = self._u_dense
-        s_dense = self._s_dense
-        in_q_stamp = self._in_q_stamp
+        col_len = self._col_len
+
+        # u = z~_p - z~_q, keyed (candidate, row) in ascending order; the
+        # scatter adds and subtracts in the reference's order.
+        p_flat = concat_ranges(z_indptr[iperm[heads]], col_len[heads])
+        q_flat = concat_ranges(z_indptr[iperm[tails]], col_len[tails])
+        u_keys, slot = unique_inverse(np.concatenate([
+            owners(col_len[heads]) * n + z_indices[p_flat],
+            owners(col_len[tails]) * n + z_indices[q_flat],
+        ]))
+        u = np.zeros(len(u_keys))
+        u[slot[: len(p_flat)]] += z_data[p_flat]
+        u[slot[len(p_flat):]] -= z_data[q_flat]
+        del p_flat, q_flat, slot
+        resistance = segment_sums(
+            u ** 2, np.bincount(u_keys // n, minlength=count)
+        )
+
+        # Head-ball incidences that land in the tail ball, deduped.
+        head_nodes, at_head = np.unique(heads, return_inverse=True)
+        tail_nodes, at_tail = np.unique(tails, return_inverse=True)
+        bundles = self.cache.bundles(
+            head_nodes, [ball_of[node] for node in head_nodes.tolist()]
+        )
+        tail_balls = [ball_of[node] for node in tail_nodes.tolist()]
+        q_cand, q_pick = _gather(tail_balls, at_tail, concat_ranges)
+        q_keys = q_cand * n + np.concatenate(tail_balls)[q_pick]
+        del q_cand, q_pick
+        e_cand, e_pick = _gather(
+            [bundle.eids for bundle in bundles], at_head, concat_ranges
+        )
+        nbrs = np.concatenate([bundle.nbrs for bundle in bundles])
+        eids = np.concatenate([bundle.eids for bundle in bundles])
+        pick = ball_pair_edges(
+            n, e_cand, e_pick, nbrs, eids, q_keys, self.graph.edge_count
+        )
+        e_cand, e_pick = e_cand[pick], e_pick[pick]
+        e_src = np.concatenate([bundle.sources for bundle in bundles])[e_pick]
+        e_nbr = nbrs[e_pick]
+        e_eid = eids[e_pick]
+        del nbrs, eids, e_pick, q_keys
+
+        # s_a = z~_a . u, only at the nodes those edges touch -- all the
+        # numerator reads.
+        need = np.unique(np.concatenate([e_cand * n + e_src, e_cand * n + e_nbr]))
+        b_cand = need // n
+        s_values = self._spai_dots(
+            b_cand, need - b_cand * n, u_keys, u, row_slot, count
+        )
+        at_src, _ = sorted_lookup(need, e_cand * n + e_src)
+        at_nbr, _ = sorted_lookup(need, e_cand * n + e_nbr)
+        numerator = edge_sums(
+            count, e_cand, self.graph.w[e_eid],
+            s_values[at_src] - s_values[at_nbr],
+        )
+        return w_cand * numerator / (1.0 + w_cand * resistance)
+
+    def _spai_dots(self, cand, nodes, u_keys, u, row_slot, count):
+        """``s = z~_node . u_cand`` for every ``(cand, node)`` pair.
+
+        *cand* is sorted.  Each product is one ``np.bincount`` bin over
+        the node's SPAI column in storage order, exactly as the reference
+        adds it, with ``z * 0.0`` for rows off u's support.
+
+        u is looked up densely without a ``candidates x n`` table.  A
+        group of ``k`` candidates renumbers the rows of its u's support
+        ``0 .. width - 2`` through *row_slot* (a scratch map, all ``-1``
+        on entry and exit), scatters u into a ``k x width`` slab and
+        gathers its nodes' columns.  ``width <= k * largest support``,
+        so ``k`` is held to ``sqrt(budget / largest support)``; with
+        the gather that keeps both within
+        :func:`~repro.core._kernels.pair_budget` entries.  The last
+        cell of every slab row stays zero, and a row off the support
+        maps to slot ``-1``, which indexes exactly such a cell (the
+        previous row's, or the slab's last).
+        """
+        n = self.graph.n
+        budget = _kernels.pair_budget(self.graph.edge_count)
         concat_ranges = self.kernels.concat_ranges
-        ball_pair_edge_sum_flat = self.kernels.ball_pair_edge_sum_flat
-        out = np.empty(len(edge_ids))
-
-        for k in range(len(edge_ids)):
-            p, q = int(heads[k]), int(tails[k])
-            w_pq = float(w_cand[k])
-            self._clock += 1
-            clock = self._clock
-
-            # u = z~_p - z~_q scattered into a dense work vector.
-            rows_p, vals_p = cols[p]
-            rows_q, vals_q = cols[q]
-            u_dense[rows_p] += vals_p
-            u_dense[rows_q] -= vals_q
-            touched = np.unique(np.concatenate([rows_p, rows_q]))
-            resistance = float(np.sum(u_dense[touched] ** 2))
-
-            # Cached BFS balls in the current subgraph.
-            bundle_p = cache.bundle(p)
-            nodes_q = cache.ball(q)
-            in_q_stamp[nodes_q] = clock
-
-            # s_a = z~_a . u for every node in either ball, one gather.
-            ball_nodes = np.unique(
-                np.concatenate([bundle_p.nodes, nodes_q])
+        u_cand = u_keys // n
+        u_rows = u_keys - u_cand * n
+        u_bounds = np.searchsorted(u_cand, np.arange(count + 1))
+        bounds = np.searchsorted(cand, np.arange(count + 1))
+        lengths = self._col_len[nodes]
+        starts = self._z_indptr[self._iperm[nodes]]
+        widest = int(np.diff(u_bounds).max())
+        group_max = max(1, math.isqrt(budget // max(1, widest)))
+        entries = np.bincount(cand, weights=lengths, minlength=count)
+        out = np.empty(len(cand))
+        for lo, hi in cap_spans(np.maximum(entries, budget // group_max),
+                                budget):
+            rows = u_rows[u_bounds[lo] : u_bounds[hi]]
+            # Number the distinct rows without sorting: the last writer
+            # of each row names it, then the named ones get 0, 1, ...
+            row_slot[rows] = np.arange(len(rows))
+            support = rows[row_slot[rows] == np.arange(len(rows))]
+            row_slot[support] = np.arange(len(support))
+            width = len(support) + 1
+            slab = np.zeros((hi - lo) * width)
+            slab[(u_cand[u_bounds[lo] : u_bounds[hi]] - lo) * width
+                 + row_slot[rows]] = u[u_bounds[lo] : u_bounds[hi]]
+            b_lo, b_hi = bounds[lo], bounds[hi]
+            flat = concat_ranges(starts[b_lo:b_hi], lengths[b_lo:b_hi])
+            cells = np.repeat((cand[b_lo:b_hi] - lo) * width, lengths[b_lo:b_hi])
+            cells += row_slot[self._z_indices[flat]]
+            row_slot[support] = -1
+            products = self._z_data[flat]
+            del flat
+            products *= slab[cells]
+            del cells, slab
+            out[b_lo:b_hi] = np.bincount(
+                owners(lengths[b_lo:b_hi]), weights=products,
+                minlength=b_hi - b_lo,
             )
-            perm_cols = iperm[ball_nodes]
-            starts = z_indptr[perm_cols]
-            lengths = z_indptr[perm_cols + 1] - starts
-            flat = concat_ranges(starts, lengths)
-            col_of = np.repeat(np.arange(len(ball_nodes)), lengths)
-            s_values = np.bincount(
-                col_of,
-                weights=z_data[flat] * u_dense[z_indices[flat]],
-                minlength=len(ball_nodes),
-            )
-            s_dense[ball_nodes] = s_values
-
-            numerator = ball_pair_edge_sum_flat(
-                bundle_p.sources, bundle_p.nbrs, bundle_p.eids,
-                weights, in_q_stamp, clock, s_dense,
-            )
-            out[k] = w_pq * numerator / (1.0 + w_pq * resistance)
-
-            u_dense[rows_p] = 0.0
-            u_dense[rows_q] = 0.0
         return out
+
+
+def _gather(arrays, which, concat_ranges):
+    """Index the concatenation of *arrays* by ``arrays[which[k]]``.
+
+    Returns ``(owner, positions)``: for every entry of
+    ``arrays[which[0]], arrays[which[1]], ...`` in turn, its position
+    ``k`` in *which* and its index into ``np.concatenate(arrays)``.
+    """
+    lengths = np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
+    starts = np.zeros(len(arrays), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    return (
+        owners(lengths[which]),
+        concat_ranges(starts[which], lengths[which]),
+    )
+
+
+def _ball_totals(balls, weight) -> np.ndarray:
+    """Per ball, the sum of the node weights over its nodes."""
+    sizes = np.fromiter(map(len, balls), dtype=np.int64, count=len(balls))
+    totals = np.zeros(len(balls), dtype=np.int64)
+    for lo, hi in cap_spans(sizes, _kernels.SCORE_PAIR_CAP):
+        totals[lo:hi] = np.bincount(
+            owners(sizes[lo:hi]), weights=weight[np.concatenate(balls[lo:hi])],
+            minlength=hi - lo,
+        )
+    return totals

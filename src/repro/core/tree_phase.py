@@ -16,18 +16,39 @@ drop by ``1/w_e`` across each path edge.  Concretely:
 
 The "is this tree edge on path(p, q)?" test uses Euler-tour subtree
 intervals, making it O(1) per edge with no per-candidate path walks.
+
+:func:`tree_truncated_trace_reduction` scores whole sub-batches of
+candidates with array operations: every ball of the sub-batch grows one
+BFS layer per step, and one :func:`~repro.core._kernels.ball_pair_edges`
+call selects every ball-to-ball edge.  Sub-batches are sized from
+:meth:`~repro.tree.rooted.RootedForest.ball_sizes` so scratch memory
+stays within :func:`~repro.core._kernels.pair_budget` gathered
+entries.  :func:`tree_truncated_trace_reduction_reference` keeps the
+per-candidate loop as the test oracle; the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core import _kernels
+from repro.core._kernels import (
+    ball_pair_edge_sum,
+    ball_pair_edges,
+    cap_spans,
+    edge_sums,
+    owners,
+    sorted_lookup,
+)
 from repro.graph.bfs import BallFinder
 from repro.graph.graph import Graph
 from repro.tree.lca import batch_tree_resistances
 from repro.tree.rooted import RootedForest
 
-__all__ = ["tree_truncated_trace_reduction"]
+__all__ = [
+    "tree_truncated_trace_reduction",
+    "tree_truncated_trace_reduction_reference",
+]
 
 
 def tree_truncated_trace_reduction(
@@ -53,9 +74,9 @@ def tree_truncated_trace_reduction(
         repeating the offline-LCA DFS per chunk; omitted, they are
         computed here.
     kernels : KernelSet or str, optional
-        Hot-path kernel tier evaluating the restricted quadratic form
-        of Eq. 15; defaults to the auto-resolved tier (see
-        :mod:`repro.kernels`).  Bit-identical across tiers.
+        Hot-path kernel tier executing the batched range gathers;
+        defaults to the auto-resolved tier (see :mod:`repro.kernels`).
+        Bit-identical across tiers.
 
     Returns
     -------
@@ -63,44 +84,160 @@ def tree_truncated_trace_reduction(
         Arrays aligned with each other: the truncated trace reduction,
         the candidate ids, and the tree effective resistances.
     """
+    edge_ids, resistances = _candidates(graph, forest, edge_ids, resistances)
+    if len(edge_ids) == 0:
+        return np.empty(0), edge_ids, resistances
+    heads = graph.u[edge_ids]
+    tails = graph.v[edge_ids]
+    from repro.kernels import resolve_kernel_set  # deferred: cycle
+
+    concat_ranges = resolve_kernel_set(kernels).concat_ranges
+    weights = graph.w
+    sizes, incidences = forest.ball_sizes(beta)
+    # Scratch per candidate: both balls' propagation entries (each also
+    # gathers its forest neighbors) plus the first ball's incidences.
+    costs = 2 * (sizes[heads] + sizes[tails]) + incidences[heads]
+    out = np.empty(len(edge_ids))
+    for lo, hi in cap_spans(costs, _kernels.pair_budget(graph.edge_count)):
+        out[lo:hi] = _score_span(
+            graph, forest, heads[lo:hi], tails[lo:hi],
+            weights[edge_ids[lo:hi]], resistances[lo:hi], beta,
+            concat_ranges,
+        )
+    return out, edge_ids, resistances
+
+
+def _candidates(graph, forest, edge_ids, resistances):
+    """Normalize the candidate ids and their tree resistances."""
     if edge_ids is None:
         mask = forest.tree_edge_mask()
         edge_ids = np.flatnonzero(~mask)
     edge_ids = np.asarray(edge_ids, dtype=np.int64)
     if len(edge_ids) == 0:
-        return np.empty(0), edge_ids, np.empty(0)
-
-    heads = graph.u[edge_ids]
-    tails = graph.v[edge_ids]
+        return edge_ids, np.empty(0)
     if resistances is None:
-        resistances, _ = batch_tree_resistances(forest, heads, tails)
+        resistances, _ = batch_tree_resistances(
+            forest, graph.u[edge_ids], graph.v[edge_ids]
+        )
     else:
         resistances = np.asarray(resistances, dtype=np.float64)
         if len(resistances) != len(edge_ids):
             raise ValueError("resistances/edge_ids length mismatch")
+    return edge_ids, resistances
+
+
+def _score_span(graph, forest, heads, tails, w_cand, resistances, beta,
+                concat_ranges):
+    """Eq. 15 for a sub-batch of candidates, with array operations only.
+
+    Grows all ``2 * count`` forest balls (p-balls first, then q-balls)
+    level by level.  In a forest every node of a ball has a unique path
+    to its center, so a BFS layer is just the forest neighbors of the
+    previous layer minus each node's predecessor, and the potential of
+    a node is its predecessor's plus ``sign / w`` when the connecting
+    edge lies on the p-q path -- the same single addition the
+    per-candidate reference makes (Eqs. 13-14).
+    """
+    n = graph.n
+    count = len(heads)
+    weights = graph.w
     tin, tout = forest.euler_intervals()
     depth = forest.depth
+    t_indptr, t_nbr, t_local = forest.tree.adjacency()
+    t_eid = forest.edge_ids[t_local]
 
-    from repro.kernels import resolve_kernel_set  # deferred: cycle
+    ball = np.arange(2 * count)
+    node = np.concatenate([heads, tails])
+    pred = np.full(2 * count, -1, dtype=np.int64)
+    value = np.concatenate([resistances, np.zeros(count)])
+    balls, nodes, values = [ball], [node], [value]
+    for _ in range(beta):
+        starts = t_indptr[node]
+        lengths = t_indptr[node + 1] - starts
+        flat = concat_ranges(starts, lengths)
+        owner = owners(lengths)
+        nbr = t_nbr[flat]
+        keep = nbr != pred[owner]
+        if not np.any(keep):
+            break
+        flat, owner, nbr = flat[keep], owner[keep], nbr[keep]
+        ball, pred, value = ball[owner], node[owner], value[owner]
+        cand = ball % count
+        # The deeper endpoint of the forest edge roots the subtree that
+        # separates p from q iff exactly one of them lies inside it.
+        child = np.where(depth[nbr] > depth[pred], nbr, pred)
+        lo, hi = tin[child], tout[child]
+        tin_p, tin_q = tin[heads[cand]], tin[tails[cand]]
+        on_path = ((lo <= tin_p) & (tin_p < hi)) != ((lo <= tin_q) & (tin_q < hi))
+        sign = np.where(ball < count, -1.0, 1.0)
+        value = np.where(on_path, value + sign / weights[t_eid[flat]], value)
+        node = nbr
+        balls.append(ball)
+        nodes.append(node)
+        values.append(value)
+    ball = np.concatenate(balls)
+    node = np.concatenate(nodes)
+    value = np.concatenate(values)
+    del balls, nodes, values
 
-    kernel_set = resolve_kernel_set(kernels)
-    ball_pair_edge_sum = kernel_set.ball_pair_edge_sum
+    in_q = ball >= count
+    cand = np.where(in_q, ball - count, ball)
+    keys = cand * n + node
+    # Where the balls overlap the q-ball potential wins (Eq. 14 is
+    # applied after Eq. 13); np.unique keeps the first occurrence.
+    q_first = np.concatenate([np.flatnonzero(in_q), np.flatnonzero(~in_q)])
+    node_keys, first = np.unique(keys[q_first], return_index=True)
+    node_values = value[q_first[first]]
+    q_keys = np.sort(keys[in_q])
+    p_cand, p_node = cand[~in_q], node[~in_q]
+    del ball, node, value, in_q, cand, keys, q_first, first
+
+    g_indptr, g_nbr, g_eid = graph.adjacency()
+    starts = g_indptr[p_node]
+    lengths = g_indptr[p_node + 1] - starts
+    flat = concat_ranges(starts, lengths)
+    e_cand = np.repeat(p_cand, lengths)
+    pick = ball_pair_edges(
+        n, e_cand, flat, g_nbr, g_eid, q_keys, graph.edge_count
+    )
+    e_cand, flat = e_cand[pick], flat[pick]
+    e_nbr = g_nbr[flat]
+    # The CSR row holding position ``flat`` is the edge's p-ball end.
+    e_src = np.searchsorted(g_indptr, flat, side="right") - 1
+    at_src, _ = sorted_lookup(node_keys, e_cand * n + e_src)
+    at_nbr, _ = sorted_lookup(node_keys, e_cand * n + e_nbr)
+    numerator = edge_sums(
+        count, e_cand, weights[g_eid[flat]],
+        node_values[at_src] - node_values[at_nbr],
+    )
+    return w_cand * numerator / (1.0 + w_cand * resistances)
+
+
+def tree_truncated_trace_reduction_reference(
+    graph: Graph, forest: RootedForest, edge_ids=None, beta: int = 5,
+    resistances=None,
+):
+    """Per-candidate loop computing Eq. 15: the oracle of the tests.
+
+    Same parameters and return value as
+    :func:`tree_truncated_trace_reduction`, which must match it bit for
+    bit.  One Python BFS per ball, then Eqs. 13-14 node by node.
+    """
+    edge_ids, resistances = _candidates(graph, forest, edge_ids, resistances)
+    tin, tout = forest.euler_intervals()
+    depth = forest.depth
     tree_indptr, tree_nbr, tree_local_eid = forest.tree.adjacency()
-    tree_global_eid = forest.edge_ids[tree_local_eid]
     finder = BallFinder(
-        tree_indptr, tree_nbr, edge_ids=tree_global_eid, kernels=kernel_set
+        tree_indptr, tree_nbr, edge_ids=forest.edge_ids[tree_local_eid]
     )
     g_indptr, g_nbr, g_eid = graph.adjacency()
-
-    n = graph.n
     weights = graph.w
-    v_dense = np.zeros(n)
-    in_q_stamp = np.zeros(n, dtype=np.int64)
+    v_dense = np.zeros(graph.n)
+    in_q_stamp = np.zeros(graph.n, dtype=np.int64)
     out = np.empty(len(edge_ids))
-
     for k in range(len(edge_ids)):
-        p = int(heads[k])
-        q = int(tails[k])
+        p = int(graph.u[edge_ids[k]])
+        q = int(graph.v[edge_ids[k]])
         w_pq = float(weights[edge_ids[k]])
         r_pq = float(resistances[k])
         clock = k + 1

@@ -13,7 +13,8 @@ Two query families:
   propagation, Eqs. 13-14);
 * :meth:`BallFinder.ball_nodes` / :meth:`BallFinder.balls` — vectorized
   frontier expansion returning only the (sorted) node set, used by the
-  batched ranking engine where per-node Python loops would dominate.
+  batched ranking engine where per-node Python loops would dominate;
+  ``balls`` grows many balls at once, one layer per array pass.
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ class BallFinder:
         Python loop (per-layer dispatch overhead would dominate), large
         ones hand the whole layer to the active kernel tier's
         :meth:`~repro.kernels.KernelSet.expand_frontier` (one CSR
-        gather + stamp filter per layer).  The batched rankers use this
-        when predecessor information is not needed.
+        gather + stamp filter per layer).  For many sources at once,
+        :meth:`balls` is faster.
 
         Parameters
         ----------
@@ -165,10 +166,17 @@ class BallFinder:
         return np.sort(np.concatenate(parts))
 
     def balls(self, sources, layers: int) -> dict:
-        """Bulk :meth:`ball_nodes` for many sources.
+        """Bulk :meth:`ball_nodes` for many sources, grown together.
 
-        The ranking engine's :class:`~repro.core.ranking.BallCache`
-        warms its per-round cache through this entry point.
+        Every ball of a group of sources advances one BFS layer per
+        step with array operations: the pairs ``(source, node)`` are
+        keyed ``source_index * n + node``, and a layer's fresh nodes are
+        the neighbors of the previous layer minus the two layers before
+        it (in an undirected graph no neighbor lies further back).
+        Groups are sized so one layer gathers about
+        :func:`~repro.core._kernels.pair_budget` pairs.  The ranking
+        engine's :class:`~repro.core.ranking.BallCache` fills itself
+        through this entry point.
 
         Parameters
         ----------
@@ -180,14 +188,62 @@ class BallFinder:
         Returns
         -------
         dict
-            Maps each source node to its sorted ball-node array.
+            Maps each source node to its sorted ball-node array, equal
+            to ``ball_nodes(source, layers)``.
         """
+        from repro.core._kernels import pair_budget  # deferred: cycle
+
+        budget = pair_budget(len(self.neighbors) // 2)
+        sources = np.unique(np.asarray(sources, dtype=np.int64).ravel())
         out = {}
-        for source in np.asarray(sources, dtype=np.int64):
-            source = int(source)
-            if source not in out:
-                out[source] = self.ball_nodes(source, layers)
+        group = 1  # later groups are sized from the widest layer seen
+        start = 0
+        while start < len(sources):
+            chunk = sources[start : start + group]
+            keys, widest = self._grow(chunk, layers)
+            n = len(self.indptr) - 1
+            owner = keys // n
+            nodes = keys - owner * n
+            bounds = np.searchsorted(owner, np.arange(len(chunk) + 1))
+            for k, source in enumerate(chunk.tolist()):
+                out[source] = nodes[bounds[k] : bounds[k + 1]].copy()
+            start += len(chunk)
+            per_source = max(1, widest // len(chunk))
+            group = max(1, budget // per_source)
         return out
+
+    def _grow(self, chunk, layers: int):
+        """Sorted ``(index, node)`` keys of the balls around *chunk*.
+
+        Also returns the largest number of pairs one layer gathered.
+        """
+        from repro.core._kernels import sorted_lookup  # deferred: cycle
+
+        indptr = self.indptr
+        n = len(indptr) - 1
+        concat_ranges = self.kernels.concat_ranges
+        frontier = np.arange(len(chunk), dtype=np.int64) * n + chunk
+        before = np.empty(0, dtype=np.int64)
+        parts = [frontier]
+        widest = len(frontier)
+        for _ in range(layers):
+            owner = frontier // n
+            nodes = frontier - owner * n
+            starts = indptr[nodes]
+            lengths = indptr[nodes + 1] - starts
+            flat = concat_ranges(starts, lengths)
+            widest = max(widest, len(flat))
+            reached = np.unique(
+                np.repeat(owner * n, lengths) + self.neighbors[flat]
+            )
+            _, seen = sorted_lookup(frontier, reached)
+            seen |= sorted_lookup(before, reached)[1]
+            fresh = reached[~seen]
+            if len(fresh) == 0:
+                break
+            before, frontier = frontier, fresh
+            parts.append(fresh)
+        return np.sort(np.concatenate(parts)), widest
 
 
 def bfs_tree_order(indptr, neighbors, roots, n=None):

@@ -96,6 +96,7 @@ class RootedForest:
         self.rdist = rdist
         self._tin = None
         self._tout = None
+        self._ball_sizes: dict = {}
 
     # ------------------------------------------------------------------
     # membership helpers
@@ -167,6 +168,55 @@ class RootedForest:
         in_p = tin[child] <= tin[p] < tout[child]
         in_q = tin[child] <= tin[q] < tout[child]
         return bool(in_p != in_q)
+
+    # ------------------------------------------------------------------
+    # ball sizes
+    # ------------------------------------------------------------------
+    def ball_sizes(self, radius: int):
+        """Size of every node's *radius*-hop ball in the forest.
+
+        Returns ``(nodes, incidences)``: per node, how many forest nodes
+        lie within *radius* forest hops, and the summed original-graph
+        degree of those nodes.  The batched tree phase sizes its
+        sub-batches from these.  O(n * radius) array work, memoized per
+        radius.
+
+        The ball of ``x`` is its subtree down to depth *radius*, plus,
+        for each ancestor ``a_k`` at ``k <= radius`` hops, the nodes of
+        ``a_k``'s subtree within ``radius - k`` hops of it that are not
+        below ``a_{k-1}``.
+        """
+        radius = int(radius)
+        if radius not in self._ball_sizes:
+            n = self.graph.n
+            parent = self.parent
+            indptr, _, _ = self.graph.adjacency()
+            below = np.flatnonzero(parent >= 0)
+            above = parent[below]
+            out = []
+            for weight in (np.ones(n), np.diff(indptr).astype(np.float64)):
+                # within[j][x]: weight of x's subtree down to depth j.
+                ring = weight
+                within = [ring]
+                for _ in range(radius):
+                    ring = np.bincount(above, weights=ring[below], minlength=n)
+                    within.append(within[-1] + ring)
+                total = within[radius].copy()
+                child = np.arange(n)
+                anc = parent.copy()
+                for k in range(1, radius + 1):
+                    live = np.flatnonzero(anc >= 0)
+                    if len(live) == 0:
+                        break
+                    a, c = anc[live], child[live]
+                    total[live] += within[radius - k][a]
+                    if k < radius:
+                        total[live] -= within[radius - k - 1][c]
+                    child[live] = a
+                    anc[live] = parent[a]
+                out.append(total.astype(np.int64))
+            self._ball_sizes[radius] = tuple(out)
+        return self._ball_sizes[radius]
 
     # ------------------------------------------------------------------
     # LCA and paths

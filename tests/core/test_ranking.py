@@ -189,17 +189,20 @@ class TestBallCache:
             assert np.array_equal(cache.ball(node), expected)
 
     def test_capacity_bound_does_not_change_scores(self, small_mesh):
-        """At max_entries the cache stops storing but stays correct."""
+        """At max_entries the cache stops storing but stays correct --
+        down to max_entries=0, where every ball is built transiently."""
         forest, subgraph, factor, Z, off, _ = _setting(small_mesh)
         unbounded = ApproxRanker(small_mesh, subgraph, factor, Z, beta=5)
         expected = unbounded.score_batch(off)
-        capped = ApproxRanker(
-            small_mesh, subgraph, factor, Z, beta=5,
-            cache=_attached_cache(small_mesh, subgraph, beta=5, max_entries=5),
-        )
-        got = capped.score_batch(off)
-        assert np.array_equal(got, expected)
-        assert len(capped.cache) <= 5
+        for max_entries in (5, 0):
+            capped = ApproxRanker(
+                small_mesh, subgraph, factor, Z, beta=5,
+                cache=_attached_cache(small_mesh, subgraph, beta=5,
+                                      max_entries=max_entries),
+            )
+            got = capped.score_batch(off)
+            assert np.array_equal(got, expected)
+            assert len(capped.cache) <= max_entries
 
     def test_rejects_negative_capacity(self):
         with pytest.raises(ValueError):
