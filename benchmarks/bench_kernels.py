@@ -3,7 +3,10 @@
 Unlike the table benchmarks (one-shot pipeline timings), these use
 pytest-benchmark's statistical repetition to characterize the building
 blocks: Cholesky factorization, SPAI construction, the two criticality
-kernels, batch LCA, and a preconditioned PCG solve.
+kernels, batch LCA, and a preconditioned PCG solve.  Two gated
+comparisons ride along (``make bench-smoke``): batched ranking against
+per-candidate scoring, and the level-scheduled SPAI against its
+per-column loop.
 
 The kernel-tier section at the bottom compares the
 :mod:`repro.kernels` tiers (pure-Python reference vs numpy vector vs
@@ -50,6 +53,7 @@ from repro.kernels import (
     resolve_kernels,
 )
 from repro.linalg import cholesky, pcg, sparse_approximate_inverse
+from repro.linalg.spai import sparse_approximate_inverse_reference
 from repro.tree import RootedForest, batch_tree_resistances, mewst
 from repro.utils.reporting import Table
 
@@ -228,6 +232,35 @@ def test_ranking_batched_vs_serial_report(ranking_setting):
     assert vs_reference >= 2.0, (
         f"batched ranking only {vs_reference:.2f}x the whole-batch reference"
     )
+
+
+# ----------------------------------------------------------------------
+# Level-scheduled SPAI vs the per-column loop (>= 20k nodes).
+# ----------------------------------------------------------------------
+def test_spai_levels_vs_reference_report(ranking_setting):
+    """Algorithm 1 on the 21k-node grid's spanning-tree factor: the
+    level-scheduled build must match the per-column loop byte for byte
+    and beat it by >= 3x."""
+    _, _, factor, _, _ = ranking_setting
+    reference, reference_seconds = _best_of(
+        lambda: sparse_approximate_inverse_reference(factor.L, delta=0.1)
+    )
+    levels, levels_seconds = _best_of(
+        lambda: sparse_approximate_inverse(factor.L, delta=0.1)
+    )
+    for name in ("indptr", "indices", "data"):
+        assert (getattr(levels, name).tobytes()
+                == getattr(reference, name).tobytes()), name
+    speedup = reference_seconds / levels_seconds
+    table = Table(["path", "columns", "nnz(Z~)", "seconds"])
+    for label, seconds in (("per-column loop", reference_seconds),
+                           ("level schedule", levels_seconds)):
+        table.add_row([label, factor.n, levels.nnz, f"{seconds:.3f}"])
+    emit(
+        "kernels_spai_levels_vs_reference",
+        table.render() + f"\n{speedup:.1f}x vs the per-column loop",
+    )
+    assert speedup >= 3.0, f"level-scheduled SPAI only {speedup:.1f}x faster"
 
 
 def test_pcg_tree_preconditioned(benchmark, setting):

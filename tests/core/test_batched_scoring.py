@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.records import RunRecord
+from repro.backends import base as backends_base
 from repro.core import (
     ApproxRanker,
     BallCache,
@@ -51,6 +52,7 @@ from repro.graph import (
 from repro.graph.bfs import BallFinder
 from repro.graph.suitesparse_like import CASE_REGISTRY, make_case
 from repro.linalg import cholesky, sparse_approximate_inverse
+from repro.linalg.spai import sparse_approximate_inverse_reference
 from repro.tree import RootedForest, mewst
 
 FAMILIES = sorted(GENERATOR_REGISTRY)
@@ -378,7 +380,8 @@ TABLE1 = sorted(name for name, spec in CASE_REGISTRY.items()
 @pytest.mark.parametrize("case", TABLE1)
 def test_table1_fingerprint_matches_per_candidate_scoring(case, monkeypatch):
     """The ``proposed`` RunRecord fingerprint of every Table-1 case is
-    byte-identical to the one the per-candidate loops produce."""
+    byte-identical to the one the per-candidate loops produce: oracle
+    rankers, and the per-column SPAI oracle building ``Z~``."""
     graph, _ = make_case(case, scale=0.02, seed=0)
     config = SparsifierConfig(edge_fraction=0.1)
 
@@ -390,4 +393,8 @@ def test_table1_fingerprint_matches_per_candidate_scoring(case, monkeypatch):
     batched = fingerprint()
     monkeypatch.setattr(sparsifier, "TreePhaseRanker", _OracleTreeRanker)
     monkeypatch.setattr(sparsifier, "ApproxRanker", _OracleApproxRanker)
+    spai_oracle = mock.Mock(wraps=sparse_approximate_inverse_reference)
+    monkeypatch.setattr(backends_base, "sparse_approximate_inverse",
+                        spai_oracle)
     assert fingerprint() == batched
+    assert spai_oracle.call_count > 0

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from repro.exceptions import FactorizationError
 from repro.graph import grid2d, regularization_shift, regularized_laplacian
 from repro.linalg import cholesky, sparse_approximate_inverse
-from repro.linalg.spai import spai_nnz_profile
+from repro.linalg.spai import (
+    sparse_approximate_inverse_reference,
+    spai_nnz_profile,
+)
 
 
 @pytest.fixture(scope="module")
@@ -44,13 +47,28 @@ def test_monotone_in_delta(factor):
     assert profile == sorted(profile, reverse=True)
 
 
-def test_diagonal_preserved(factor):
-    """Z~ keeps the exact diagonal 1/L_jj (never pruned below max? the
-    diagonal is the column's first contribution and stays positive)."""
-    Z = sparse_approximate_inverse(factor.L, delta=0.1)
-    # Every column must keep at least one entry.
-    lengths = np.diff(Z.indptr)
-    assert (lengths >= 1).all()
+def test_pruned_columns_keep_the_floor(factor):
+    """Every column keeps at least ``min(keep_threshold, unpruned
+    support)`` entries, all inside that support -- but not necessarily
+    its diagonal, which the ``delta`` cut can drop like any entry."""
+    L = factor.L.tocsc()
+    keep = max(1, int(np.ceil(np.log(factor.n))))
+    Z = sparse_approximate_inverse(L, delta=0.1)
+    reference = sparse_approximate_inverse_reference(L, delta=0.1)
+    assert Z.indptr.tobytes() == reference.indptr.tobytes()
+    assert Z.indices.tobytes() == reference.indices.tobytes()
+    assert Z.data.tobytes() == reference.data.tobytes()
+    dropped_diagonals = 0
+    for j in range(factor.n):
+        rows = set(Z.indices[Z.indptr[j]:Z.indptr[j + 1]].tolist())
+        # Unpruned support: j plus the kept rows of every column read.
+        support = {j}
+        for i in L.indices[L.indptr[j] + 1:L.indptr[j + 1]]:
+            support.update(Z.indices[Z.indptr[i]:Z.indptr[i + 1]].tolist())
+        assert rows <= support
+        assert len(rows) >= min(keep, len(support))
+        dropped_diagonals += j not in rows
+    assert dropped_diagonals > 0
 
 
 def test_small_columns_kept_exactly(factor):
@@ -117,6 +135,22 @@ def test_rejects_bad_delta(factor):
         sparse_approximate_inverse(factor.L, delta=1.0)
     with pytest.raises(ValueError):
         sparse_approximate_inverse(factor.L, delta=-0.1)
+
+
+@pytest.mark.parametrize("keep_threshold", [2.5, -1, True, "3", 3.0])
+def test_rejects_bad_keep_threshold(factor, keep_threshold):
+    """Rejected up front, not on the first column that hits the floor."""
+    for fn in (sparse_approximate_inverse,
+               sparse_approximate_inverse_reference):
+        with pytest.raises(ValueError, match="keep_threshold"):
+            fn(factor.L, keep_threshold=keep_threshold)
+
+
+def test_accepts_numpy_integer_keep_threshold(factor):
+    Z = sparse_approximate_inverse(factor.L, keep_threshold=np.int64(3))
+    expected = sparse_approximate_inverse(factor.L, keep_threshold=3)
+    assert Z.data.tobytes() == expected.data.tobytes()
+    assert sparse_approximate_inverse(factor.L, keep_threshold=0).nnz > 0
 
 
 def test_rejects_missing_diagonal():
