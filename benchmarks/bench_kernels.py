@@ -5,8 +5,9 @@ pytest-benchmark's statistical repetition to characterize the building
 blocks: Cholesky factorization, SPAI construction, the two criticality
 kernels, batch LCA, and a preconditioned PCG solve.  Two gated
 comparisons ride along (``make bench-smoke``): batched ranking against
-per-candidate scoring, and the level-scheduled SPAI against its
-per-column loop.
+per-candidate scoring (plus byte-identical scores against the
+whole-batch reference on every off-tree candidate), and the
+level-scheduled SPAI against its per-column loop.
 
 The kernel-tier section at the bottom compares the
 :mod:`repro.kernels` tiers (pure-Python reference vs numpy vector vs
@@ -25,6 +26,7 @@ import platform
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -144,7 +146,7 @@ def ranking_setting(scale):
     off = np.flatnonzero(~forest.tree_edge_mask())
     rng = np.random.default_rng(0)
     subset = np.sort(rng.choice(off, size=_RANKING_SUBSET, replace=False))
-    return graph, tree, factor, Z, subset
+    return graph, tree, factor, Z, subset, off
 
 
 def _rank_serial_per_edge(graph, tree, factor, Z, subset):
@@ -177,26 +179,29 @@ def _best_of(fn, repeats=2):
 
 
 def test_ranking_serial_per_edge(benchmark, ranking_setting):
-    graph, tree, factor, Z, subset = ranking_setting
+    graph, tree, factor, Z, subset, _ = ranking_setting
     benchmark(lambda: _rank_serial_per_edge(graph, tree, factor, Z, subset))
 
 
 def test_ranking_reference_whole_batch(benchmark, ranking_setting):
-    graph, tree, factor, Z, subset = ranking_setting
+    graph, tree, factor, Z, subset, _ = ranking_setting
     benchmark(
         lambda: _rank_reference_whole_batch(graph, tree, factor, Z, subset)
     )
 
 
 def test_ranking_batched(benchmark, ranking_setting):
-    graph, tree, factor, Z, subset = ranking_setting
+    graph, tree, factor, Z, subset, _ = ranking_setting
     benchmark(lambda: _rank_batched(graph, tree, factor, Z, subset))
 
 
 def test_ranking_batched_vs_serial_report(ranking_setting):
     """Time the three paths, emit the comparison, check both targets:
-    >= 3x the per-edge loop and >= 2x the whole-batch reference."""
-    graph, tree, factor, Z, subset = ranking_setting
+    >= 3x the per-edge loop and >= 2x the whole-batch reference.  Then
+    score every off-tree candidate both ways: the ranker must match the
+    whole-batch reference byte for byte across many sub-batches and the
+    full range of node and edge ids."""
+    graph, tree, factor, Z, subset, off = ranking_setting
 
     serial_scores, serial_seconds = _best_of(
         lambda: _rank_serial_per_edge(graph, tree, factor, Z, subset)
@@ -210,6 +215,15 @@ def test_ranking_batched_vs_serial_report(ranking_setting):
 
     assert np.array_equal(serial_scores, batched_scores)
     assert np.array_equal(reference_scores, batched_scores)
+
+    spans = mock.Mock(wraps=ApproxRanker._score_span, autospec=True)
+    with mock.patch.object(ApproxRanker, "_score_span",
+                           lambda self, *a: spans(self, *a)):
+        every_batched = _rank_batched(graph, tree, factor, Z, off)
+    every_reference = _rank_reference_whole_batch(graph, tree, factor, Z, off)
+    assert every_batched.tobytes() == every_reference.tobytes()
+    assert spans.call_count > 1
+
     speedup = serial_seconds / batched_seconds
     vs_reference = reference_seconds / batched_seconds
     table = Table(["path", "candidates", "seconds", "edges/s"])
@@ -226,7 +240,9 @@ def test_ranking_batched_vs_serial_report(ranking_setting):
         "kernels_ranking_batched_vs_serial",
         table.render()
         + f"\nn = {graph.n} nodes; {speedup:.1f}x vs per-edge, "
-        f"{vs_reference:.2f}x vs whole-batch reference",
+        f"{vs_reference:.2f}x vs whole-batch reference; all {len(off)} "
+        f"off-tree candidates byte-identical to the reference over "
+        f"{spans.call_count} sub-batches",
     )
     assert speedup >= 3.0, f"batched ranking only {speedup:.1f}x faster"
     assert vs_reference >= 2.0, (
@@ -241,7 +257,7 @@ def test_spai_levels_vs_reference_report(ranking_setting):
     """Algorithm 1 on the 21k-node grid's spanning-tree factor: the
     level-scheduled build must match the per-column loop byte for byte
     and beat it by >= 3x."""
-    _, _, factor, _, _ = ranking_setting
+    _, _, factor, _, _, _ = ranking_setting
     reference, reference_seconds = _best_of(
         lambda: sparse_approximate_inverse_reference(factor.L, delta=0.1)
     )

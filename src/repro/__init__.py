@@ -72,7 +72,6 @@ from repro.core import (
     partition_shards,
     sharded_sparsify,
     EdgeRanker,
-    BallBundle,
     BallCache,
     TreePhaseRanker,
     ExactRanker,
@@ -163,7 +162,6 @@ __all__ = [
     "partition_shards",
     "sharded_sparsify",
     "EdgeRanker",
-    "BallBundle",
     "BallCache",
     "TreePhaseRanker",
     "ExactRanker",

@@ -27,7 +27,6 @@ from repro.core.trace_reduction import (
 from repro.core.tree_phase import tree_truncated_trace_reduction
 from repro.core.ranking import (
     ApproxRanker,
-    BallBundle,
     BallCache,
     EdgeRanker,
     ExactRanker,
@@ -77,7 +76,6 @@ __all__ = [
     "approximate_trace_reduction",
     "tree_truncated_trace_reduction",
     "EdgeRanker",
-    "BallBundle",
     "BallCache",
     "TreePhaseRanker",
     "ExactRanker",

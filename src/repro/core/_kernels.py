@@ -7,16 +7,22 @@ original graph's edges joining the two BFS balls.
 
 :func:`ball_pair_edge_sum` and :func:`ball_pair_edge_sum_flat` do that
 for one candidate; the per-candidate reference loops use them.  The
-batched scorers use the many-candidate forms instead:
-:func:`ball_pair_edges` selects every candidate's ball-to-ball edges at
-once, and :func:`edge_sums` / :func:`segment_sums` add them per
-candidate in numpy's pairwise order, so each sum is bit-identical to
-the one-candidate kernel's.
+batched scorers find the ball-to-ball edges of many candidates with
+scipy's compiled sparse products instead.  :func:`incidence_codes`
+builds the ``n x m`` edge incidence matrix ``Ie`` with one code per
+endpoint (1 at ``u_e``, 2 at ``v_e``).  :func:`ball_incidence`
+multiplies a 0/1 ball matrix by it, so row ``x`` lists the edges touching ball ``x``,
+coded by which endpoints lie inside.  :func:`joining_edges` multiplies
+two such rows elementwise: an edge joins the balls iff the product of
+its codes is not 1 or 4.  :func:`edge_sums` / :func:`segment_sums` then
+add every candidate's edges in numpy's pairwise order, so each sum is
+bit-identical to the one-candidate kernel's.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "SCORE_PAIR_CAP",
@@ -29,14 +35,16 @@ __all__ = [
     "sorted_lookup",
     "unique_inverse",
     "segment_sums",
-    "ball_pair_edges",
+    "incidence_codes",
+    "ball_incidence",
+    "joining_edges",
     "owners",
     "edge_sums",
 ]
 
 #: Most gathered ``(candidate, entry)`` pairs one scoring sub-batch may
-#: hold (ball nodes, SPAI column entries, incidences).  The batched
-#: scorers of Eqs. 15 and 20 split their candidates so that scratch
+#: hold (ball nodes, SPAI column entries, ball-edge incidences).  The
+#: batched scorers of Eqs. 15 and 20 split their candidates so that scratch
 #: memory stays proportional to this, never to ``candidates * n``;
 #: larger values trade memory for fewer numpy calls per candidate.
 SCORE_PAIR_CAP = 1 << 18
@@ -313,48 +321,73 @@ def _blocked_sums(values, starts, lengths):
     return out
 
 
-def ball_pair_edges(n, cand, pick, nbrs, eids, q_keys, edge_count):
-    """Select and dedupe the ball-to-ball edges of many candidates.
+def incidence_codes(graph) -> sp.csr_array:
+    """The edge incidence matrix, coded by endpoint, stored transposed.
 
-    The batched :meth:`~repro.kernels.KernelSet.select_ball_pair_edges`:
-    keep the incidences whose neighbor lies in the candidate's second
-    ball and collapse both orientations of an edge to one.
+    Row ``e`` of this ``m x n`` CSR holds 1 at ``u_e`` and 2 at
+    ``v_e``: it is ``Ie^T`` for the ``n x m`` incidence ``Ie`` with
+    ``Ie[u_e, e] = 1`` and ``Ie[v_e, e] = 2``.  O(m) to build.
+    """
+    m = graph.edge_count
+    return sp.csr_array(
+        (np.tile(np.array([1, 2], dtype=np.int8), m),
+         np.column_stack([graph.u, graph.v]).ravel(),
+         np.arange(0, 2 * m + 1, 2)),
+        shape=(m, graph.n),
+    )
+
+
+def ball_incidence(indptr, nodes, codes) -> sp.csr_array:
+    """The edges touching each ball, coded by which ends lie inside.
 
     Parameters
     ----------
-    n : int
-        Node count; ``(candidate, node)`` pairs are keyed
-        ``candidate * n + node``.
-    cand, pick : numpy.ndarray
-        Parallel arrays, in any order: one entry per original-graph
-        incidence of a candidate's first ball -- the candidate index and
-        the incidence's position in *nbrs* / *eids*.
-    nbrs, eids : numpy.ndarray
-        Neighbor and edge id of every incidence position (a CSR
-        adjacency's neighbor and edge arrays, or cached bundles').
-    q_keys : numpy.ndarray
-        Sorted keys of every ``(candidate, node)`` in a second ball.
-    edge_count : int
-        Edge count of the original graph (keys edges per candidate).
+    indptr, nodes : numpy.ndarray
+        CSR of balls: ``nodes[indptr[x]:indptr[x+1]]`` is ball ``x``,
+        no node twice, in any order.
+    codes : scipy.sparse.csr_array
+        :func:`incidence_codes` of the graph.
 
     Returns
     -------
-    numpy.ndarray
-        Indices into *cand* / *pick* of the qualifying incidences, one
-        per ``(candidate, edge)``, sorted by candidate, then edge id --
-        per candidate the order :func:`ball_pair_edge_sum_flat` sums in.
-        Which of the two orientations is kept does not matter:
-        ``(a - b)**2 == (b - a)**2`` exactly.
+    scipy.sparse.csr_array
+        ``B @ Ie`` for the 0/1 ball matrix ``B``: row ``x`` lists every
+        edge with an endpoint in ball ``x`` in ascending edge id, valued
+        1 (only ``u_e`` inside), 2 (only ``v_e``) or 3 (both).  It is
+        computed as ``(Ie^T @ B^T)^T``, whose conversion back to CSR
+        sorts the edge ids in linear time.
     """
-    keys = cand * n
-    keys += nbrs[pick]
-    _, hit = sorted_lookup(q_keys, keys)
-    del keys
-    hit = np.flatnonzero(hit)
-    edge_keys = cand[hit] * edge_count
-    edge_keys += eids[pick[hit]]
-    _, first = np.unique(edge_keys, return_index=True)
-    return hit[first]
+    balls = sp.csr_array(
+        (np.ones(len(nodes), dtype=np.int8), nodes, indptr),
+        shape=(len(indptr) - 1, codes.shape[1]),
+    )
+    return (codes @ balls.T).T.tocsr()
+
+
+def joining_edges(incidence, first, second):
+    """The edges joining ball ``first[k]`` to ball ``second[k]``, per k.
+
+    An edge joins the balls iff one end lies in the first and the other
+    in the second.  The product of its two :func:`ball_incidence` codes
+    is then 2, 3, 6 or 9; it is 1 (1 * 1) or 4 (2 * 2) when both balls
+    hold the same end only, and 0 when a ball misses the edge.
+
+    Parameters
+    ----------
+    incidence : scipy.sparse.csr_array
+        :func:`ball_incidence` of the balls (sorted indices).
+    first, second : numpy.ndarray
+        Row indices into *incidence*, one pair of balls per ``k``.
+
+    Returns
+    -------
+    (pair, edges) : numpy.ndarray
+        One entry per joining edge, sorted by ``k``, then edge id --
+        per pair the order :func:`ball_pair_edge_sum_flat` sums in.
+    """
+    both = incidence[first].multiply(incidence[second])
+    keep = (both.data != 1) & (both.data != 4)
+    return owners(np.diff(both.indptr))[keep], both.indices[keep]
 
 
 def owners(lengths) -> np.ndarray:
@@ -365,7 +398,7 @@ def owners(lengths) -> np.ndarray:
 def edge_sums(count, cand, weights, diffs):
     """Per candidate, ``np.sum(weights * diffs * diffs)`` over its edges.
 
-    *cand* must be sorted (as :func:`ball_pair_edges` orders it); each
+    *cand* must be sorted (as :func:`joining_edges` orders it); each
     candidate's sum is bit-identical to the scalar scoring kernel's, and
     a candidate without edges scores ``0.0``.
     """

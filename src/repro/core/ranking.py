@@ -17,11 +17,15 @@ The two production rankers have no per-candidate Python loop: they cut
 the candidates into sub-batches of at most
 :func:`~repro.core._kernels.pair_budget` gathered entries (a module
 constant, scaled down for small graphs) and score each sub-batch with a
-fixed number of array operations.  For Eq. 20
-that is one gather of ``u = z~_p - z~_q`` and of the SPAI columns,
-one :func:`~repro.core._kernels.ball_pair_edges` selection of the
-ball-to-ball edges, one ``np.bincount`` for ``s``, and one
-:func:`~repro.core._kernels.segment_sums` per sum.
+fixed number of array operations.  For Eq. 20 the ball-to-ball edges
+come from scipy's compiled sparse products: one
+:func:`~repro.core._kernels.ball_incidence` per ``score_batch`` lists
+the edges touching the ball of every distinct endpoint, and one
+:func:`~repro.core._kernels.joining_edges` per sub-batch multiplies the
+head and tail rows elementwise.  Then ``u = z~_p - z~_q`` and the SPAI
+columns are gathered once, ``np.bincount`` forms ``s`` at the joining
+edges' ends only, and one :func:`~repro.core._kernels.segment_sums`
+adds each sum.
 
 The :class:`BallCache` persists across densification rounds: recovering
 edges only changes BFS balls near the touched endpoints, so only those
@@ -36,19 +40,20 @@ worker-pool execution in :mod:`repro.core.parallel` deterministic.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from typing import Protocol, runtime_checkable
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core import _kernels
 from repro.core._kernels import (
-    ball_pair_edges,
+    ball_incidence,
     cap_spans,
     edge_sums,
+    incidence_codes,
+    joining_edges,
     owners,
     segment_sums,
-    sorted_lookup,
     unique_inverse,
 )
 from repro.core.trace_reduction import exact_trace_reduction_batch
@@ -62,7 +67,6 @@ from repro.linalg.cholesky import cholesky
 
 __all__ = [
     "EdgeRanker",
-    "BallBundle",
     "BallCache",
     "TreePhaseRanker",
     "ExactRanker",
@@ -89,21 +93,6 @@ class EdgeRanker(Protocol):
         """Return one criticality score per candidate edge id."""
 
 
-BallBundle = namedtuple("BallBundle", ["nodes", "sources", "nbrs", "eids"])
-"""Cached per-node ball data.
-
-Attributes
-----------
-nodes : numpy.ndarray
-    Sorted nodes of the beta-ball around the key node (in the current
-    subgraph).
-sources, nbrs, eids : numpy.ndarray
-    Flattened incident-edge triples of *nodes* in the **original**
-    graph, as consumed by
-    :func:`repro.core._kernels.ball_pair_edge_sum_flat`.
-"""
-
-
 class BallCache:
     """Per-round cache of BFS balls with touched-node invalidation.
 
@@ -120,26 +109,20 @@ class BallCache:
     beta : int
         BFS truncation depth; all cached balls use this radius.
     max_entries : int, optional
-        Upper bound on stored balls/bundles (each bundle costs roughly
-        ``ball_size * avg_degree`` incidence triples).  At capacity,
-        further queries are computed transiently and returned without
-        being stored — slower, but memory stays bounded.  ``None``
-        (default) means unbounded, which is at most one entry per
-        graph node.
+        Upper bound on stored balls.  At capacity, further queries are
+        computed transiently and returned without being stored — slower,
+        but memory stays bounded.  ``None`` (default) means unbounded,
+        which is at most one entry per graph node.
     kernels : KernelSet or str, optional
-        Hot-path kernel tier executing the BFS expansion and bundle
-        gathers; defaults to the auto-resolved tier (see
-        :mod:`repro.kernels`).  Bit-identical across tiers.
+        Hot-path kernel tier executing the BFS expansion; defaults to
+        the auto-resolved tier (see :mod:`repro.kernels`).
+        Bit-identical across tiers.
 
     Notes
     -----
-    The contract has two obligations on the caller:
-
-    1. call :meth:`attach_subgraph` whenever the subgraph adjacency
-       changes, passing ``invalidate=<touched nodes>`` (every node whose
-       incident edge set changed since the previous attach);
-    2. call :meth:`attach_graph` once with the original graph before
-       requesting bundles.
+    The caller must call :meth:`attach_subgraph` whenever the subgraph
+    adjacency changes, passing ``invalidate=<touched nodes>`` (every
+    node whose incident edge set changed since the previous attach).
 
     Entries are read-only once created; worker processes forked after
     :meth:`ensure` share them copy-on-write without synchronization.
@@ -155,13 +138,9 @@ class BallCache:
         self.max_entries = max_entries
         self.kernels = resolve_kernel_set(kernels)
         self._balls: dict = {}
-        self._bundles: dict = {}
         self._finder: BallFinder | None = None
         self._sub_indptr = None
         self._sub_nbr = None
-        self._g_indptr = None
-        self._g_nbr = None
-        self._g_eid = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -173,13 +152,6 @@ class BallCache:
 
     def __len__(self) -> int:
         return len(self._balls)
-
-    def attach_graph(self, graph: Graph) -> None:
-        """Record the original graph's CSR adjacency (bundle source)."""
-        g_indptr, g_nbr, g_eid = graph.adjacency()
-        self._g_indptr = g_indptr
-        self._g_nbr = g_nbr
-        self._g_eid = g_eid
 
     def attach_subgraph(self, indptr, neighbors, invalidate=None) -> None:
         """Point ball queries at a (possibly new) subgraph adjacency.
@@ -210,7 +182,7 @@ class BallCache:
                 and np.array_equal(self._sub_nbr, neighbors)
             )
         )
-        if changed and invalidate is None and (self._balls or self._bundles):
+        if changed and invalidate is None and self._balls:
             raise ValueError(
                 "attach_subgraph: the adjacency changed but invalidate= "
                 "was not given; cached balls would silently go stale. "
@@ -241,50 +213,23 @@ class BallCache:
                 stale.update(ball.tolist())
         for node in stale:
             self._balls.pop(node, None)
-            self._bundles.pop(node, None)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def _has_room(self, table: dict) -> bool:
-        return self.max_entries is None or len(table) < self.max_entries
-
-    def _room(self, table: dict, missing: list) -> list:
-        """The prefix of *missing* that fits in *table*'s capacity."""
-        if self.max_entries is None:
-            return missing
-        return missing[: max(0, self.max_entries - len(table))]
-
     def ensure(self, nodes) -> None:
-        """Compute and cache balls + bundles for any missing *nodes*.
+        """Compute and cache the balls of any missing *nodes*.
 
-        Bundle construction is batched: one ``concat_ranges`` pass over
-        the concatenation of every missing ball gathers all incidence
-        triples at once, and per-node bundles are cheap slices of the
-        shared arrays.  Only as many nodes as fit under ``max_entries``
-        are built; over-capacity nodes are built transiently by
-        :meth:`bundles` when scoring reaches them.
-        """
-        missing = [
-            node for node in dict.fromkeys(_node_list(nodes))
-            if node not in self._bundles
-        ]
-        missing = self._room(self._bundles, missing)
-        if missing:
-            self._materialize(missing)
-
-    def ensure_balls(self, nodes) -> None:
-        """Cache bare ball node sets (no incidence bundles) for *nodes*.
-
-        Cheaper than :meth:`ensure` for nodes that only ever serve as
-        the second ball (the ``q`` side of Eq. 20), which never needs
-        the incidence triples.  Only as many as fit are computed.
+        One :meth:`BallFinder.balls <repro.graph.bfs.BallFinder.balls>`
+        call grows them all; only as many as fit under ``max_entries``
+        are computed.
         """
         missing = [
             node for node in dict.fromkeys(_node_list(nodes))
             if node not in self._balls
         ]
-        missing = self._room(self._balls, missing)
+        if self.max_entries is not None:
+            missing = missing[: max(0, self.max_entries - len(self._balls))]
         if missing:
             self.balls(missing)
 
@@ -302,97 +247,16 @@ class BallCache:
             [node for node in nodes if node not in self._balls], self.beta
         )
         for node, ball in fresh.items():
-            if self._has_room(self._balls):
+            if self.max_entries is None or len(self._balls) < self.max_entries:
                 self._balls[node] = ball
         return [
             fresh[node] if node in fresh else self._balls[node]
             for node in nodes
         ]
 
-    def bundles(self, nodes, balls=None) -> list:
-        """Bundles of *nodes*, in order; missing ones built in one pass.
-
-        Parameters
-        ----------
-        nodes : array_like of int
-            Ball centers.
-        balls : list of numpy.ndarray, optional
-            The balls of *nodes* (aligned), when the caller already has
-            them; spares the BFS for bundles that must be built.
-
-        Returns
-        -------
-        list of BallBundle
-            Cached bundles as stored; the missing ones come from one
-            :meth:`_materialize` call and are cached while there is
-            room.
-        """
-        nodes = _node_list(nodes)
-        known = {} if balls is None else dict(zip(nodes, balls))
-        missing = [
-            node for node in dict.fromkeys(nodes) if node not in self._bundles
-        ]
-        built = {}
-        if missing:
-            built = self._materialize(
-                missing,
-                [known[node] for node in missing] if balls is not None
-                else None,
-            )
-        return [
-            built[node] if node in built else self._bundles[node]
-            for node in nodes
-        ]
-
-    def _materialize(self, missing: list, ball_list=None) -> dict:
-        """Build bundles for *missing* nodes, caching within capacity."""
-        if self._finder is None:
-            raise RuntimeError("attach_subgraph() before ensure()")
-        if self._g_indptr is None:
-            raise RuntimeError("attach_graph() before ensure()")
-        if ball_list is None:
-            ball_list = self.balls(missing)
-        all_nodes = np.concatenate(ball_list)
-        starts = self._g_indptr[all_nodes]
-        lengths = self._g_indptr[all_nodes + 1] - starts
-        flat = self.kernels.concat_ranges(starts, lengths)
-        sources = np.repeat(all_nodes, lengths)
-        nbrs = self._g_nbr[flat]
-        eids = self._g_eid[flat]
-        # Per-ball spans into the shared flat arrays.
-        node_offsets = np.zeros(len(ball_list) + 1, dtype=np.int64)
-        np.cumsum([len(b) for b in ball_list], out=node_offsets[1:])
-        incidence_bounds = np.zeros(len(all_nodes) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=incidence_bounds[1:])
-        built = {}
-        for k, node in enumerate(missing):
-            lo = incidence_bounds[node_offsets[k]]
-            hi = incidence_bounds[node_offsets[k + 1]]
-            # Copies, not views: a view would pin the whole batch's flat
-            # arrays in memory for as long as any one bundle survives
-            # invalidation.
-            bundle = BallBundle(
-                nodes=ball_list[k],
-                sources=sources[lo:hi].copy(),
-                nbrs=nbrs[lo:hi].copy(),
-                eids=eids[lo:hi].copy(),
-            )
-            built[node] = bundle
-            if self._has_room(self._bundles):
-                self._bundles[node] = bundle
-        return built
-
     def ball(self, node: int) -> np.ndarray:
         """Sorted beta-ball around *node* in the current subgraph."""
         return self.balls([node])[0]
-
-    def bundle(self, node: int) -> BallBundle:
-        """Ball plus flattened original-graph incidences around *node*.
-
-        At capacity the bundle is built and returned without being
-        stored.
-        """
-        return self.bundles([node])[0]
 
 
 def _node_list(nodes) -> list:
@@ -519,16 +383,17 @@ class ApproxRanker:
     computes -- bit for bit -- but for a whole sub-batch of candidates
     per pass of array operations instead of one candidate at a time:
 
-    * BFS balls and their original-graph incidence bundles come from a
-      :class:`BallCache` (persisted across rounds, invalidated only
-      around touched nodes);
+    * BFS balls come from a :class:`BallCache` (persisted across
+      rounds, invalidated only around touched nodes);
     * ``u = z~_p - z~_q`` and the SPAI columns of every ball-union node
       are gathered straight from ``Z`` for all candidates at once, keyed
       by ``(candidate, row)``, and ``s_a = z~_a . u`` is one
-      ``np.bincount`` over ``(candidate, ball node)`` bins;
-    * the ball-to-ball edges of every candidate are one
-      :func:`~repro.core._kernels.ball_pair_edges` call, and ``s`` is
-      only formed at their endpoints.
+      ``np.bincount`` over ``(candidate, node)`` bins;
+    * the ball-to-ball edges of every candidate come from scipy sparse
+      products: one :func:`~repro.core._kernels.ball_incidence` of the
+      batch's distinct endpoints, then one
+      :func:`~repro.core._kernels.joining_edges` per sub-batch, and
+      ``s`` is only formed at their endpoints.
 
     Sub-batches are cut so that each gathers at most
     :func:`~repro.core._kernels.pair_budget` entries.
@@ -561,7 +426,7 @@ class ApproxRanker:
     Scoring keeps no per-candidate state and grows balls without the
     :class:`~repro.graph.bfs.BallFinder` stamp arrays.  What is still
     shared and mutable is the :class:`BallCache`: a cache miss inserts
-    into its dictionaries without a lock (concurrent fills can overshoot
+    into its dictionary without a lock (concurrent fills can overshoot
     ``max_entries``), so one ranker -- or one cache -- must not be used
     from several threads at once.  Worker *processes* are fine: each
     fork gets copy-on-write copies, and the scores are chunk-stable
@@ -580,17 +445,15 @@ class ApproxRanker:
         self._z_indptr = Z.indptr.astype(np.int64)
         self._z_indices = Z.indices
         self._z_data = Z.data
-        # SPAI column length and original-graph degree per node: the
-        # sub-batch sizing weights.
+        # SPAI column length per node: a sub-batch sizing weight.
         self._col_len = np.diff(self._z_indptr)[self._iperm]
-        self._degree = np.diff(graph.adjacency()[0])
+        self._codes = incidence_codes(graph)
         if cache is None:
             cache = BallCache(beta, kernels=self.kernels)
         if cache.beta != self.beta:
             raise ValueError(
                 f"cache radius {cache.beta} != ranker beta {self.beta}"
             )
-        cache.attach_graph(graph)
         if not cache.attached:
             sub_indptr, sub_nbr, _ = subgraph.adjacency()
             cache.attach_subgraph(sub_indptr, sub_nbr)
@@ -606,10 +469,9 @@ class ApproxRanker:
         edge_ids = np.asarray(edge_ids, dtype=np.int64)
         if len(edge_ids) == 0:
             return
-        # Heads need full incidence bundles (the summation side of
-        # Eq. 20); tails only ever mark membership, so bare balls do.
+        # Heads first: at capacity they are the ones kept.
         self.cache.ensure(np.unique(self.graph.u[edge_ids]))
-        self.cache.ensure_balls(np.unique(self.graph.v[edge_ids]))
+        self.cache.ensure(np.unique(self.graph.v[edge_ids]))
 
     def score_batch(self, edge_ids) -> np.ndarray:
         """Approximate trace reduction (Eq. 20) per candidate edge.
@@ -638,15 +500,18 @@ class ApproxRanker:
             np.concatenate([heads, tails]), return_inverse=True
         )
         balls = self.cache.balls(nodes)
-        ball_of = dict(zip(nodes.tolist(), balls))
-        sizes = np.fromiter(map(len, balls), dtype=np.int64, count=len(balls))
-        incidences = _ball_totals(balls, self._degree)
-        # Entries a candidate holds at once: u, the tail ball and the
-        # head ball's incidences.  The SPAI columns behind s are
-        # gathered in smaller groups (see _spai_dots).
+        indptr = np.zeros(len(balls) + 1, dtype=np.int64)
+        np.cumsum([len(ball) for ball in balls], out=indptr[1:])
+        # One row per distinct endpoint: the edges touching its ball.
+        incidence = ball_incidence(indptr, np.concatenate(balls), self._codes)
+        at_head, at_tail = inverse[:count], inverse[count:]
+        touching = np.diff(incidence.indptr)
+        # Entries a candidate holds at once: u and both balls' edges.
+        # The SPAI columns behind s are gathered in smaller groups (see
+        # _spai_dots).
         costs = (
             self._col_len[heads] + self._col_len[tails]
-            + sizes[inverse[count:]] + incidences[inverse[:count]]
+            + touching[at_head] + touching[at_tail]
         )
         weights = self.graph.w[edge_ids]
         # Scratch map from SPAI rows to slab columns, -1 when unused.
@@ -654,11 +519,12 @@ class ApproxRanker:
         out = np.empty(count)
         for lo, hi in cap_spans(costs, _kernels.pair_budget(self.graph.edge_count)):
             out[lo:hi] = self._score_span(
-                heads[lo:hi], tails[lo:hi], weights[lo:hi], ball_of, row_slot
+                heads[lo:hi], tails[lo:hi], weights[lo:hi], incidence,
+                at_head[lo:hi], at_tail[lo:hi], row_slot,
             )
         return out
 
-    def _score_span(self, heads, tails, w_cand, ball_of,
+    def _score_span(self, heads, tails, w_cand, incidence, at_head, at_tail,
                     row_slot) -> np.ndarray:
         """Eq. 20 for one sub-batch, with array operations only."""
         n = self.graph.n
@@ -686,42 +552,29 @@ class ApproxRanker:
             u ** 2, np.bincount(u_keys // n, minlength=count)
         )
 
-        # Head-ball incidences that land in the tail ball, deduped.
-        head_nodes, at_head = np.unique(heads, return_inverse=True)
-        tail_nodes, at_tail = np.unique(tails, return_inverse=True)
-        bundles = self.cache.bundles(
-            head_nodes, [ball_of[node] for node in head_nodes.tolist()]
-        )
-        tail_balls = [ball_of[node] for node in tail_nodes.tolist()]
-        q_cand, q_pick = _gather(tail_balls, at_tail, concat_ranges)
-        q_keys = q_cand * n + np.concatenate(tail_balls)[q_pick]
-        del q_cand, q_pick
-        e_cand, e_pick = _gather(
-            [bundle.eids for bundle in bundles], at_head, concat_ranges
-        )
-        nbrs = np.concatenate([bundle.nbrs for bundle in bundles])
-        eids = np.concatenate([bundle.eids for bundle in bundles])
-        pick = ball_pair_edges(
-            n, e_cand, e_pick, nbrs, eids, q_keys, self.graph.edge_count
-        )
-        e_cand, e_pick = e_cand[pick], e_pick[pick]
-        e_src = np.concatenate([bundle.sources for bundle in bundles])[e_pick]
-        e_nbr = nbrs[e_pick]
-        e_eid = eids[e_pick]
-        del nbrs, eids, e_pick, q_keys
-
-        # s_a = z~_a . u, only at the nodes those edges touch -- all the
+        # The edges joining the two balls, in ascending edge id per
+        # candidate, and s_a = z~_a . u only at their ends -- all the
         # numerator reads.
-        need = np.unique(np.concatenate([e_cand * n + e_src, e_cand * n + e_nbr]))
-        b_cand = need // n
-        s_values = self._spai_dots(
-            b_cand, need - b_cand * n, u_keys, u, row_slot, count
-        )
-        at_src, _ = sorted_lookup(need, e_cand * n + e_src)
-        at_nbr, _ = sorted_lookup(need, e_cand * n + e_nbr)
+        e_cand, e_eid = joining_edges(incidence, at_head, at_tail)
+        ends_u = self.graph.u[e_eid]
+        ends_v = self.graph.v[e_eid]
+        # The (candidate, node) pattern of those ends.  Built node-major
+        # from pairs in candidate order, each node's candidates come out
+        # sorted, so both conversions are linear: no sort.
+        need = sp.csr_array(
+            (np.ones(2 * len(e_eid), dtype=bool),
+             (np.column_stack([ends_u, ends_v]).ravel(),
+              np.repeat(e_cand, 2))),
+            shape=(n, count),
+        ).T.tocsr()
+        s = sp.csr_array((
+            self._spai_dots(owners(np.diff(need.indptr)), need.indices,
+                            u_keys, u, row_slot, count),
+            need.indices, need.indptr,
+        ), shape=(count, n))
         numerator = edge_sums(
             count, e_cand, self.graph.w[e_eid],
-            s_values[at_src] - s_values[at_nbr],
+            s[e_cand, ends_u] - s[e_cand, ends_v],
         )
         return w_cand * numerator / (1.0 + w_cand * resistance)
 
@@ -783,31 +636,3 @@ class ApproxRanker:
                 minlength=b_hi - b_lo,
             )
         return out
-
-
-def _gather(arrays, which, concat_ranges):
-    """Index the concatenation of *arrays* by ``arrays[which[k]]``.
-
-    Returns ``(owner, positions)``: for every entry of
-    ``arrays[which[0]], arrays[which[1]], ...`` in turn, its position
-    ``k`` in *which* and its index into ``np.concatenate(arrays)``.
-    """
-    lengths = np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
-    starts = np.zeros(len(arrays), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=starts[1:])
-    return (
-        owners(lengths[which]),
-        concat_ranges(starts[which], lengths[which]),
-    )
-
-
-def _ball_totals(balls, weight) -> np.ndarray:
-    """Per ball, the sum of the node weights over its nodes."""
-    sizes = np.fromiter(map(len, balls), dtype=np.int64, count=len(balls))
-    totals = np.zeros(len(balls), dtype=np.int64)
-    for lo, hi in cap_spans(sizes, _kernels.SCORE_PAIR_CAP):
-        totals[lo:hi] = np.bincount(
-            owners(sizes[lo:hi]), weights=weight[np.concatenate(balls[lo:hi])],
-            minlength=hi - lo,
-        )
-    return totals

@@ -107,7 +107,7 @@ class SparsifierConfig(BaseSparsifierConfig):
         depend on this value.
     cache_max_nodes : int or None
         Bound on the cross-round ball cache (entries ~ candidate
-        endpoints; each costs ~``ball_size * avg_degree`` ints).
+        endpoints; each costs ``ball_size`` ints).
         ``None`` (default) caches every endpoint; results do not depend
         on this value.
     """

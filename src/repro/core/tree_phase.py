@@ -19,8 +19,11 @@ intervals, making it O(1) per edge with no per-candidate path walks.
 
 :func:`tree_truncated_trace_reduction` scores whole sub-batches of
 candidates with array operations: every ball of the sub-batch grows one
-BFS layer per step, and one :func:`~repro.core._kernels.ball_pair_edges`
-call selects every ball-to-ball edge.  Sub-batches are sized from
+BFS layer per step.  The balls then become one sparse matrix; one
+:func:`~repro.core._kernels.ball_incidence` product and one
+:func:`~repro.core._kernels.joining_edges` select every ball-to-ball
+edge, and the potential at each edge end is read back from that matrix.
+Sub-batches are sized from
 :meth:`~repro.tree.rooted.RootedForest.ball_sizes` so scratch memory
 stays within :func:`~repro.core._kernels.pair_budget` gathered
 entries.  :func:`tree_truncated_trace_reduction_reference` keeps the
@@ -30,15 +33,17 @@ per-candidate loop as the test oracle; the two agree bit for bit.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core import _kernels
 from repro.core._kernels import (
+    ball_incidence,
     ball_pair_edge_sum,
-    ball_pair_edges,
     cap_spans,
     edge_sums,
+    incidence_codes,
+    joining_edges,
     owners,
-    sorted_lookup,
 )
 from repro.graph.bfs import BallFinder
 from repro.graph.graph import Graph
@@ -93,16 +98,20 @@ def tree_truncated_trace_reduction(
 
     concat_ranges = resolve_kernel_set(kernels).concat_ranges
     weights = graph.w
+    codes = incidence_codes(graph)
     sizes, incidences = forest.ball_sizes(beta)
     # Scratch per candidate: both balls' propagation entries (each also
-    # gathers its forest neighbors) plus the first ball's incidences.
-    costs = 2 * (sizes[heads] + sizes[tails]) + incidences[heads]
+    # gathers its forest neighbors) plus both balls' incidences.
+    costs = (
+        2 * (sizes[heads] + sizes[tails]) + incidences[heads]
+        + incidences[tails]
+    )
     out = np.empty(len(edge_ids))
     for lo, hi in cap_spans(costs, _kernels.pair_budget(graph.edge_count)):
         out[lo:hi] = _score_span(
             graph, forest, heads[lo:hi], tails[lo:hi],
             weights[edge_ids[lo:hi]], resistances[lo:hi], beta,
-            concat_ranges,
+            concat_ranges, codes,
         )
     return out, edge_ids, resistances
 
@@ -127,7 +136,7 @@ def _candidates(graph, forest, edge_ids, resistances):
 
 
 def _score_span(graph, forest, heads, tails, w_cand, resistances, beta,
-                concat_ranges):
+                concat_ranges, codes):
     """Eq. 15 for a sub-batch of candidates, with array operations only.
 
     Grows all ``2 * count`` forest balls (p-balls first, then q-balls)
@@ -180,35 +189,26 @@ def _score_span(graph, forest, heads, tails, w_cand, resistances, beta,
     value = np.concatenate(values)
     del balls, nodes, values
 
-    in_q = ball >= count
-    cand = np.where(in_q, ball - count, ball)
-    keys = cand * n + node
-    # Where the balls overlap the q-ball potential wins (Eq. 14 is
-    # applied after Eq. 13); np.unique keeps the first occurrence.
-    q_first = np.concatenate([np.flatnonzero(in_q), np.flatnonzero(~in_q)])
-    node_keys, first = np.unique(keys[q_first], return_index=True)
-    node_values = value[q_first[first]]
-    q_keys = np.sort(keys[in_q])
-    p_cand, p_node = cand[~in_q], node[~in_q]
-    del ball, node, value, in_q, cand, keys, q_first, first
-
-    g_indptr, g_nbr, g_eid = graph.adjacency()
-    starts = g_indptr[p_node]
-    lengths = g_indptr[p_node + 1] - starts
-    flat = concat_ranges(starts, lengths)
-    e_cand = np.repeat(p_cand, lengths)
-    pick = ball_pair_edges(
-        n, e_cand, flat, g_nbr, g_eid, q_keys, graph.edge_count
+    # The balls as one canonical CSR, p-balls in rows 0 .. count - 1.
+    # Entry k of the BFS arrays is stored as k + 1, plus ``total`` in a
+    # q-ball, so where a candidate's two balls overlap the larger code
+    # -- the q-ball potential -- wins (Eq. 14 is applied after Eq. 13).
+    total = len(ball)
+    entry = np.arange(1, total + 1)
+    entry[ball >= count] += total
+    coded = sp.csr_array((entry, (ball, node)), shape=(2 * count, n))
+    del ball, node, entry
+    incidence = ball_incidence(coded.indptr, coded.indices, codes)
+    e_cand, e_eid = joining_edges(
+        incidence, np.arange(count), np.arange(count, 2 * count)
     )
-    e_cand, flat = e_cand[pick], flat[pick]
-    e_nbr = g_nbr[flat]
-    # The CSR row holding position ``flat`` is the edge's p-ball end.
-    e_src = np.searchsorted(g_indptr, flat, side="right") - 1
-    at_src, _ = sorted_lookup(node_keys, e_cand * n + e_src)
-    at_nbr, _ = sorted_lookup(node_keys, e_cand * n + e_nbr)
+    del incidence
+    potential = coded[:count].maximum(coded[count:])
+    at_u = potential[e_cand, graph.u[e_eid]] - 1
+    at_v = potential[e_cand, graph.v[e_eid]] - 1
     numerator = edge_sums(
-        count, e_cand, weights[g_eid[flat]],
-        node_values[at_src] - node_values[at_nbr],
+        count, e_cand, weights[e_eid],
+        value[at_u % total] - value[at_v % total],
     )
     return w_cand * numerator / (1.0 + w_cand * resistances)
 

@@ -16,6 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,15 +28,18 @@ from repro.core import (
     TreePhaseRanker,
     _kernels,
     approximate_trace_reduction,
+    ranking,
     score_edges,
     sparsifier,
     tree_phase,
     tree_truncated_trace_reduction,
 )
 from repro.core._kernels import (
+    ball_incidence,
     ball_pair_edge_sum_flat,
-    ball_pair_edges,
     edge_sums,
+    incidence_codes,
+    joining_edges,
     segment_sums,
 )
 from repro.core.sparsifier import SparsifierConfig, trace_reduction_sparsify
@@ -173,57 +177,51 @@ class TestCoveredCases:
         assert _bits(got) == _bits(expected)
 
     def test_candidate_without_ball_pair_edge_scores_zero(self):
-        """The batched selection + sum equals the scalar kernel per
+        """joining_edges + edge_sums equal the scalar kernel per
         candidate, and a candidate with no qualifying edge sums to 0.0."""
         rng = np.random.default_rng(7)
         graph = triangular_mesh(120, seed=3)
         indptr, nbr, eid = graph.adjacency()
-        n, m = graph.n, graph.edge_count
+        n = graph.n
         values = rng.standard_normal(n)
-        # Candidate 0: incidences but an empty second ball; 1: no
-        # incidences at all; 2-4: random balls.
+        # Candidate 0: incidences but an empty second ball; 1: an empty
+        # first ball; 2-4: random balls.
         first = [np.arange(0, 6), np.empty(0, dtype=np.int64)] + [
             rng.choice(n, 8, replace=False) for _ in range(3)
         ]
         second = [np.empty(0, dtype=np.int64), rng.choice(n, 5)] + [
             rng.choice(n, 10, replace=False) for _ in range(3)
         ]
-        cand, src, dst, ids, q_keys, node_keys = [], [], [], [], [], []
+        count = len(first)
+        balls = [np.unique(ball) for ball in first + second]
         expected = []
-        for k, (ball_p, ball_q) in enumerate(zip(first, second)):
-            ball_p = np.sort(ball_p)
-            ball_q = np.unique(ball_q)
+        for ball_p, ball_q in zip(balls[:count], balls[count:]):
             starts, stops = indptr[ball_p], indptr[ball_p + 1]
             flat = np.concatenate(
                 [np.arange(a, b) for a, b in zip(starts, stops)]
                 + [np.empty(0, dtype=np.int64)]
             )
-            sources = np.repeat(ball_p, stops - starts)
-            cand.append(np.full(len(flat), k))
-            src.append(sources)
-            dst.append(nbr[flat])
-            ids.append(eid[flat])
-            q_keys.append(k * n + ball_q)
-            node_keys.append(k * n + np.union1d(ball_p, ball_q))
             stamp = np.zeros(n, dtype=np.int64)
             stamp[ball_q] = 1
             expected.append(ball_pair_edge_sum_flat(
-                sources, nbr[flat], eid[flat], graph.w, stamp, 1, values
+                np.repeat(ball_p, stops - starts), nbr[flat], eid[flat],
+                graph.w, stamp, 1, values,
             ))
-        cand, src, dst, ids = (
-            np.concatenate(cand), np.concatenate(src),
-            np.concatenate(dst), np.concatenate(ids),
-        )
-        pick = ball_pair_edges(n, cand, np.arange(len(cand)), dst, ids,
-                               np.concatenate(q_keys), m)
+        bounds = np.cumsum([0] + [len(ball) for ball in balls])
+        incidence = ball_incidence(bounds, np.concatenate(balls),
+                                   incidence_codes(graph))
+        cand, edges = joining_edges(incidence, np.arange(count),
+                                    np.arange(count, 2 * count))
         got = edge_sums(
-            len(first), cand[pick], graph.w[ids[pick]],
-            values[src[pick]] - values[dst[pick]],
+            count, cand, graph.w[edges],
+            values[graph.u[edges]] - values[graph.v[edges]],
         )
         assert got[0] == 0.0 and got[1] == 0.0
         assert _bits(got) == _bits(expected)
-        assert np.all(np.isin(cand[pick] * n + src[pick],
-                              np.concatenate(node_keys)))
+        for k, edge in zip(cand, edges):
+            ends = {int(graph.u[edge]), int(graph.v[edge])}
+            assert ends & set(balls[k].tolist())
+            assert ends & set(balls[count + k].tolist())
 
     def test_forced_sub_batches(self, small_mesh):
         """A tiny cap splits both scorers into many sub-batches."""
@@ -286,8 +284,8 @@ class TestCoveredCases:
 class TestCappedCache:
     def test_one_bfs_call_per_batch(self, small_mesh):
         """With nothing cached, balls come from one BallFinder.balls call
-        per batch and bundles from one _materialize call per sub-batch;
-        no per-candidate BFS runs."""
+        per batch and ball incidences from one sparse product per
+        score_batch; no per-candidate BFS runs."""
         subgraph, factor, Z, off = _general_setting(small_mesh)
         expected = approximate_trace_reduction(
             small_mesh, subgraph, factor, Z, off
@@ -298,11 +296,11 @@ class TestCappedCache:
         ranker = ApproxRanker(small_mesh, subgraph, factor, Z, cache=cache)
         balls = mock.Mock(wraps=cache._finder.balls)
         scalar = mock.Mock(wraps=cache._finder.ball)
-        built = mock.Mock(wraps=cache._materialize)
+        products = mock.Mock(wraps=ball_incidence)
         spans = mock.Mock(wraps=ranker._score_span)
         with mock.patch.object(cache._finder, "balls", balls), \
                 mock.patch.object(cache._finder, "ball", scalar), \
-                mock.patch.object(cache, "_materialize", built), \
+                mock.patch.object(ranking, "ball_incidence", products), \
                 mock.patch.object(ranker, "_score_span", spans), \
                 mock.patch.object(_kernels, "SCORE_PAIR_CAP", 3000):
             got = ranker.score_batch(off)
@@ -311,7 +309,187 @@ class TestCappedCache:
         assert balls.call_count == 1
         assert scalar.call_count == 0
         assert spans.call_count > 1
-        assert built.call_count == spans.call_count
+        assert products.call_count == 1
+
+
+class TestJoiningEdges:
+    """ball_incidence + joining_edges against brute-force Python sets."""
+
+    @staticmethod
+    def _select(graph, balls, first, second):
+        bounds = np.cumsum([0] + [len(ball) for ball in balls])
+        nodes = np.concatenate(
+            [np.asarray(ball, dtype=np.int64) for ball in balls]
+            + [np.empty(0, dtype=np.int64)]
+        )
+        incidence = ball_incidence(bounds, nodes, incidence_codes(graph))
+        return incidence, joining_edges(
+            incidence, np.asarray(first, dtype=np.int64),
+            np.asarray(second, dtype=np.int64),
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_python_sets(self, data):
+        n = data.draw(st.integers(1, 14), label="n")
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        # Sparse draws leave isolated nodes and disconnected pieces.
+        chosen = data.draw(
+            st.lists(st.sampled_from(pairs), unique=True) if pairs
+            else st.just([]), label="edges",
+        )
+        graph = Graph(n, [a for a, _ in chosen], [b for _, b in chosen],
+                      np.ones(len(chosen)))
+        # Random balls (empty, disjoint or overlapping, any node order),
+        # plus one ball nested in each of them.
+        balls = data.draw(st.lists(
+            st.lists(st.integers(0, n - 1), unique=True),
+            min_size=1, max_size=6,
+        ), label="balls")
+        balls += [
+            data.draw(st.lists(st.sampled_from(ball), unique=True))
+            if ball else [] for ball in list(balls)
+        ]
+        rows = st.integers(0, len(balls) - 1)
+        first = data.draw(st.lists(rows, min_size=1, max_size=12),
+                          label="first")
+        second = data.draw(st.lists(rows, min_size=len(first),
+                                    max_size=len(first)), label="second")
+        # Identical balls, and each ball against its nested one.
+        half = len(balls) // 2
+        first += [0] + list(range(half))
+        second += [0] + list(range(half, 2 * half))
+        incidence, (got_pair, got_edges) = self._select(
+            graph, balls, first, second
+        )
+
+        ends = list(zip(graph.u.tolist(), graph.v.tolist()))
+        for x, ball in enumerate(balls):
+            members = set(ball)
+            coded = [
+                (e, (a in members) + 2 * (b in members))
+                for e, (a, b) in enumerate(ends)
+            ]
+            row = slice(incidence.indptr[x], incidence.indptr[x + 1])
+            assert incidence.indices[row].tolist() == [
+                e for e, code in coded if code
+            ]
+            assert incidence.data[row].tolist() == [
+                code for _, code in coded if code
+            ]
+        want_pair, want_edges = [], []
+        for k, (p, q) in enumerate(zip(first, second)):
+            ball_p, ball_q = set(balls[p]), set(balls[q])
+            for e, (a, b) in enumerate(ends):
+                if (a in ball_p and b in ball_q) or (b in ball_p
+                                                    and a in ball_q):
+                    want_pair.append(k)
+                    want_edges.append(e)
+        assert got_pair.tolist() == want_pair
+        assert got_edges.tolist() == want_edges
+
+    @pytest.mark.parametrize("q_code", [1, 2, 3])
+    @pytest.mark.parametrize("p_code", [1, 2, 3])
+    def test_every_code_pair(self, p_code, q_code):
+        """One edge (0, 1): the products 1 * 1 and 2 * 2 (both balls
+        hold the same end only) exclude it; every other pair joins."""
+        graph = Graph(3, [0], [1], [1.0])
+        ball = {1: [0], 2: [1], 3: [1, 0]}
+        incidence, (pair, edges) = self._select(
+            graph, [ball[p_code], ball[q_code]], [0], [1]
+        )
+        assert incidence.data.tolist() == [p_code, q_code]
+        joins = p_code * q_code not in (1, 4)
+        assert edges.tolist() == ([0] if joins else [])
+        assert pair.tolist() == ([0] if joins else [])
+
+
+@contextlib.contextmanager
+def _sparse_sizes(log):
+    """Log the stored size of every sparse array built in the block."""
+    with contextlib.ExitStack() as stack:
+        for cls in (sp.csr_array, sp.csc_array, sp.coo_array):
+            def init(self, *args, _init=cls.__init__, **kwargs):
+                _init(self, *args, **kwargs)
+                log.append(max(self.nnz, len(getattr(self, "indices", ()))))
+            stack.enter_context(mock.patch.object(cls, "__init__", init))
+        yield
+
+
+def _span_peaks(module, owner, call):
+    """Run *call*; return the candidate costs, the sub-batches, the cap
+    and, per sub-batch, the largest sparse array built inside it."""
+    costs, peaks, log = [], [], []
+    inside = []
+    real_cap_spans = module.cap_spans
+    real_span = owner._score_span
+
+    def cap_spans(values, cap):
+        if not inside:
+            costs.append((np.asarray(values).copy(), cap))
+        return real_cap_spans(values, cap)
+
+    def span(*args):
+        inside.append(True)
+        del log[:]
+        try:
+            return real_span(*args)
+        finally:
+            inside.pop()
+            peaks.append(max(log, default=0))
+
+    with mock.patch.object(module, "cap_spans", cap_spans), \
+            mock.patch.object(owner, "_score_span", span), \
+            _sparse_sizes(log):
+        call()
+    [(values, cap)] = costs
+    return values, real_cap_spans(values, cap), cap, peaks
+
+
+def _hub_tail_graph():
+    """Barabasi-Albert graph relabelled so the hubs get the largest ids:
+    a hub is then the tail (``v``) of every edge it has."""
+    graph = make_family_graph("ba", 300, seed=4)
+    flip = graph.n - 1
+    return Graph(graph.n, flip - graph.u, flip - graph.v, graph.w)
+
+
+class TestSpanCosts:
+    """Each sub-batch's largest sparse intermediate holds at most
+    ``max(pair budget, its costliest candidate's cost)`` entries: the
+    costs count every ball incidence a sub-batch materializes, head and
+    tail alike."""
+
+    @pytest.mark.parametrize("cap", [1, 200, 2000])
+    @pytest.mark.parametrize("family", ["mesh", "ba_hub_tail"])
+    @pytest.mark.parametrize("scorer", ["tree", "approx"])
+    def test_intermediates_within_span_cost(self, scorer, family, cap):
+        graph = (_hub_tail_graph() if family == "ba_hub_tail"
+                 else make_family_graph("mesh", 300, seed=2))
+        if scorer == "tree":
+            forest = RootedForest(graph, mewst(graph))
+            off = np.flatnonzero(~forest.tree_edge_mask())
+            module, owner = tree_phase, tree_phase
+
+            def call():
+                tree_truncated_trace_reduction(graph, forest, beta=3)
+        else:
+            subgraph, factor, Z, off = _general_setting(graph)
+            ranker = ApproxRanker(graph, subgraph, factor, Z, beta=3)
+            module, owner = ranking, ApproxRanker
+
+            def call():
+                ranker.score_batch(off)
+        if family == "ba_hub_tail":
+            assert np.bincount(graph.v[off]).max() >= 20
+        with _cap(cap):
+            costs, spans, budget, peaks = _span_peaks(module, owner, call)
+            assert budget == _kernels.pair_budget(graph.edge_count)
+        assert len(peaks) == len(spans) > 1
+        for (lo, hi), peak in zip(spans, peaks):
+            assert 0 < peak <= max(budget, costs[lo:hi].max())
+        if cap > 1:
+            assert max(hi - lo for lo, hi in spans) > 1
 
 
 class TestSegmentSums:

@@ -274,7 +274,7 @@ class TestBallCacheMutation:
         must raise instead of silently serving stale balls."""
         graph = small_grid
         cache, mask = self._tree_cache(graph)
-        cache.ensure_balls(range(graph.n))
+        cache.ensure(range(graph.n))
         assert len(cache) == graph.n
         off = np.flatnonzero(~mask)
         mask[off[0]] = True
@@ -361,7 +361,7 @@ class TestBallCacheMutation:
         cache = BallCache(beta)
         indptr, nbr, _ = graph.subgraph(mask).adjacency()
         cache.attach_subgraph(indptr, nbr)
-        cache.ensure_balls(range(graph.n))
+        cache.ensure(range(graph.n))
 
         mutated = rng.choice(keep, size=min(n_delete, len(keep)),
                              replace=False)
